@@ -857,8 +857,8 @@ ExperimentRunner make_runner(const char* name, const Env& env,
                              const Setup& setup) {
   ExperimentRunner runner(name);
   // Bench grids are rebuilt identically by every process that runs the
-  // binary with the same knobs, which is exactly the contract process
-  // sharding needs (STC_SHARDS / STC_SHARD; see support/experiment.h).
+  // binary with the same knobs, which is the contract the journal and
+  // STC_RESUME need (see support/experiment.h).
   runner.set_shardable(true);
   runner.meta("scale_factor", env.scale_factor);
   runner.meta("seed", env.seed);

@@ -43,11 +43,6 @@
 //                   (default poisson)
 //   STC_TENANT_MIX- comma list of per-tenant mixes, assigned round-robin:
 //                   dss|dss_train|oltp (default dss,oltp)
-//   STC_SHARDS    - worker processes for the bench grid (default 1). With
-//                   N > 1 the binary re-executes itself N times, each worker
-//                   runs a modulo slice of the grid and writes a report
-//                   fragment, and the parent merges them into one report
-//                   byte-identical (outside timing fields) to STC_SHARDS=1
 //   STC_MMAP      - 1 streams on-disk traces through mmap, 0 forces buffered
 //                   reads (default 1; scale_sweep's streaming cells)
 //   STC_PLAN_CACHE_DIR - directory for the on-disk compiled replay-plan
@@ -56,10 +51,6 @@
 //                   re-running only the cells the journal does not cover; the
 //                   finished report is byte-identical to an uninterrupted run
 //                   (default 0 = start fresh, stale journals are discarded)
-//   STC_HEARTBEAT - sharded runs: seconds a worker's journal may stall before
-//                   the parent SIGKILLs it and reassigns its slice within the
-//                   STC_JOB_RETRIES budget (default 0 = exit-status-only
-//                   supervision)
 //   STC_CRASH     - kill-injection spec, same grammar as STC_FAULT: SIGKILL
 //                   the process at the Nth hit of a fault point, e.g.
 //                   journal.append.write:3 (tools/crash_harness, VERIFY.md)

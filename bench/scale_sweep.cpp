@@ -19,9 +19,7 @@
 // footprint. tools/perf_gate.py gates the compiled/interp speedup of the x10
 // rows against bench/perf_baseline.json.
 //
-// The grid shards across worker processes under STC_SHARDS (the scratch
-// trace files carry the worker's shard tag, so siblings never collide), and
-// runs its own cells on a single thread so the timings stay clean.
+// The grid runs its cells on a single thread so the timings stay clean.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -79,25 +77,13 @@ int main() {
 
   const std::uint32_t factors[] = {1, 10, 100};
 
-  // Scratch trace files: shard workers replay concurrently in one bench
-  // directory, so each process tags its files with its slice.
-  std::string tag = env::shard().value();
-  for (char& c : tag) {
-    if (c == '/') c = 'o';
-  }
   const std::string dir = env::bench_dir().value();
   const auto path_for = [&](std::uint32_t factor) {
-    return dir + "/SCALE_sweep_x" + std::to_string(factor) +
-           (tag.empty() ? std::string() : "." + tag) + ".trace";
+    return dir + "/SCALE_sweep_x" + std::to_string(factor) + ".trace";
   };
 
-  // The sharding parent only spawns workers and merges their fragments — it
-  // never replays, so it skips the file builds its workers redo themselves.
-  const bool executes_jobs =
-      !env::shard().value().empty() || env::shards().value() <= 1;
   std::vector<std::string> scratch;
   runner.time_phase("scale_write", [&] {
-    if (!executes_jobs) return;
     for (const std::uint32_t factor : factors) {
       const std::string path = path_for(factor);
       auto writer = trace::TraceFileWriter::create(path);
@@ -230,8 +216,7 @@ int main() {
     }
   }
 
-  // Single worker per process: the cells time themselves. Parallelism comes
-  // from STC_SHARDS worker processes, not threads.
+  // Single worker: the cells time themselves.
   runner.run(1);
   for (const std::string& path : scratch) std::remove(path.c_str());
 

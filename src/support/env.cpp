@@ -265,43 +265,6 @@ Result<std::uint32_t> job_retries() {
   return static_cast<std::uint32_t>(parsed.value());
 }
 
-Result<std::uint32_t> shards() {
-  const char* value = std::getenv("STC_SHARDS");
-  if (value == nullptr) return std::uint32_t{1};
-  Result<std::uint64_t> parsed = parse_uint("STC_SHARDS", value);
-  if (!parsed.is_ok()) return parsed.status();
-  if (parsed.value() == 0 || parsed.value() > 256) {
-    return invalid_argument_error(std::string("STC_SHARDS='") + value +
-                                  "': expected a shard count in [1, 256]");
-  }
-  return static_cast<std::uint32_t>(parsed.value());
-}
-
-Result<std::string> shard() {
-  const char* value = std::getenv("STC_SHARD");
-  if (value == nullptr || value[0] == '\0') return std::string();
-  const std::string v(value);
-  const std::size_t slash = v.find('/');
-  const auto bad = [&v]() {
-    return invalid_argument_error("STC_SHARD='" + v +
-                                  "': expected '<i>/<n>' with i < n and n in "
-                                  "[1, 256] (set by the sharding parent)");
-  };
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= v.size()) {
-    return bad();
-  }
-  const std::string index_text = v.substr(0, slash);
-  const std::string count_text = v.substr(slash + 1);
-  Result<std::uint64_t> index = parse_uint("STC_SHARD", index_text.c_str());
-  Result<std::uint64_t> count = parse_uint("STC_SHARD", count_text.c_str());
-  if (!index.is_ok() || !count.is_ok()) return bad();
-  if (count.value() == 0 || count.value() > 256 ||
-      index.value() >= count.value()) {
-    return bad();
-  }
-  return v;
-}
-
 Result<bool> resume() {
   const char* value = std::getenv("STC_RESUME");
   if (value == nullptr) return false;
@@ -309,18 +272,6 @@ Result<bool> resume() {
   if (v == "0" || v == "") return false;
   if (v == "1") return true;
   return invalid_argument_error("STC_RESUME='" + v + "': expected 0 or 1");
-}
-
-Result<double> heartbeat() {
-  const char* value = std::getenv("STC_HEARTBEAT");
-  if (value == nullptr) return 0.0;
-  Result<double> parsed = parse_double("STC_HEARTBEAT", value);
-  if (!parsed.is_ok()) return parsed.status();
-  if (parsed.value() < 0.0) {
-    return invalid_argument_error(std::string("STC_HEARTBEAT='") + value +
-                                  "': expected seconds >= 0 (0 disables)");
-  }
-  return parsed.value();
 }
 
 Result<bool> zero_timings() {
@@ -372,10 +323,7 @@ Status validate_all() {
   if (Status s = tenant_mix().status(); !s.is_ok()) return s;
   if (Status s = job_timeout().status(); !s.is_ok()) return s;
   if (Status s = job_retries().status(); !s.is_ok()) return s;
-  if (Status s = shards().status(); !s.is_ok()) return s;
-  if (Status s = shard().status(); !s.is_ok()) return s;
   if (Status s = resume().status(); !s.is_ok()) return s;
-  if (Status s = heartbeat().status(); !s.is_ok()) return s;
   if (Status s = zero_timings().status(); !s.is_ok()) return s;
   if (Status s = mmap_enabled().status(); !s.is_ok()) return s;
   if (Status s = plan_cache_dir().status(); !s.is_ok()) return s;

@@ -90,24 +90,10 @@ Result<double> job_timeout();
 // Default 1.
 Result<std::uint32_t> job_retries();
 
-// STC_SHARDS: worker-process count for sharded bench grids; integer in
-// [1, 256]. Default 1 (no sharding). See src/support/experiment.h.
-Result<std::uint32_t> shards();
-
-// STC_SHARD: internal worker-side knob set by the sharding parent; either
-// unset or "<i>/<n>" with i < n and n in [1, 256]. Workers run only their
-// modulo slice of the grid and write a report *fragment*. Default "".
-Result<std::string> shard();
-
 // STC_RESUME: 0/1 — replay the BENCH_<name>.journal on startup, skipping
 // cells already recorded, so a crashed or killed sweep continues instead of
 // restarting. Default 0 (a stale journal is discarded).
 Result<bool> resume();
-
-// STC_HEARTBEAT: shard-worker liveness deadline in seconds; finite double
-// >= 0. A worker whose journal makes no progress for this long is SIGKILLed
-// and its slice reassigned. Default 0 (supervision by exit status only).
-Result<double> heartbeat();
 
 // STC_ZERO_TIMINGS: 0/1 — record all phase timings as 0.0 so reports are
 // byte-deterministic (the crash harness compares whole files). Default 0.

@@ -1,20 +1,13 @@
 #include "support/experiment.h"
 
-#include <dirent.h>
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
-#include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -28,8 +21,6 @@
 #include "support/logsink.h"
 #include "support/thread_pool.h"
 
-extern char** environ;
-
 namespace stc {
 
 namespace {
@@ -40,36 +31,12 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Live shard-worker pids, readable from a signal handler. A slot is a pid
-// when a worker is running, 0 when free.
-constexpr std::size_t kMaxShardPids = 256;
-std::atomic<pid_t> g_shard_pids[kMaxShardPids];
-
-int register_shard_pid(pid_t pid) {
-  for (std::size_t i = 0; i < kMaxShardPids; ++i) {
-    pid_t expected = 0;
-    if (g_shard_pids[i].compare_exchange_strong(expected, pid)) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-void unregister_shard_pid(int slot) {
-  if (slot >= 0) g_shard_pids[slot].store(0);
-}
-
 // SIGINT/SIGTERM: an interrupted run must stay resumable and leave no
 // litter. The journal needs no flushing here — every append is already
-// fsync'd — so the handler only unlinks in-flight temp files, takes the
-// shard workers down with it, and dies by the original signal. All calls
-// are async-signal-safe.
+// fsync'd — so the handler only unlinks in-flight temp files and dies by the
+// original signal. All calls are async-signal-safe.
 void interrupt_handler(int sig) {
   unlink_signal_cleanup_paths();
-  for (std::size_t i = 0; i < kMaxShardPids; ++i) {
-    const pid_t pid = g_shard_pids[i].load();
-    if (pid > 0) ::kill(pid, SIGKILL);
-  }
   ::signal(sig, SIG_DFL);
   ::raise(sig);
 }
@@ -89,39 +56,6 @@ void install_interrupt_handlers() {
       }
     }
   });
-}
-
-// Removes every directory entry named <prefix>...<suffix>. Best-effort;
-// returns the number removed.
-std::size_t remove_matching_files(const std::string& dir,
-                                  const std::string& prefix,
-                                  const std::string& suffix) {
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return 0;
-  std::vector<std::string> victims;
-  while (struct dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name.size() < prefix.size() + suffix.size()) continue;
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-        0) {
-      continue;
-    }
-    victims.push_back(dir + "/" + name);
-  }
-  ::closedir(d);
-  for (const std::string& path : victims) std::remove(path.c_str());
-  return victims.size();
-}
-
-std::int64_t file_size_or(const std::string& path, std::int64_t fallback) {
-  struct stat st = {};
-  if (::stat(path.c_str(), &st) != 0) return fallback;
-  return static_cast<std::int64_t>(st.st_size);
-}
-
-std::string shard_suffix(std::uint32_t shard, std::uint32_t count) {
-  return ".shard" + std::to_string(shard) + "of" + std::to_string(count);
 }
 
 // Warns (once per job) on stderr when a running job overruns its deadline.
@@ -304,18 +238,10 @@ void ExperimentRunner::set_job_timeout(double seconds) {
   timeout_set_ = true;
 }
 
-void ExperimentRunner::set_heartbeat(double seconds) {
-  STC_REQUIRE(seconds >= 0.0);
-  heartbeat_ = seconds;
-  heartbeat_set_ = true;
-}
-
 Result<std::string> ExperimentRunner::journal_path() const {
   Result<std::string> dir = env::bench_dir();
   if (!dir.is_ok()) return dir.status().with_context("journal");
-  const std::string suffix =
-      shard_count_ > 1 ? shard_suffix(shard_index_, shard_count_) : "";
-  return dir.value() + "/BENCH_" + bench_name_ + suffix + ".journal";
+  return dir.value() + "/BENCH_" + bench_name_ + ".journal";
 }
 
 Result<std::size_t> ExperimentRunner::threads_from_env() {
@@ -327,36 +253,14 @@ void ExperimentRunner::run(std::size_t threads) {
   ran_ = true;
   if (!retries_set_) max_retries_ = env::job_retries().value();
   if (!timeout_set_) job_timeout_ = env::job_timeout().value();
-  if (!heartbeat_set_) heartbeat_ = env::heartbeat().value();
-  if (!journaling_set_) journaling_ = shardable_;
   resume_ = env::resume().value();
   install_interrupt_handlers();
-  if (shardable_) {
-    const std::string spec = env::shard().value();
-    if (!spec.empty()) {
-      // Worker process: claim the modulo slice the parent assigned, then run
-      // it like any local grid. The spec was validated by env::shard().
-      const std::size_t slash = spec.find('/');
-      shard_index_ =
-          static_cast<std::uint32_t>(std::strtoul(spec.c_str(), nullptr, 10));
-      shard_count_ = static_cast<std::uint32_t>(
-          std::strtoul(spec.c_str() + slash + 1, nullptr, 10));
-    } else if (const std::uint32_t shards = env::shards().value();
-               shards > 1 && !jobs_.empty()) {
-      run_sharded(shards);
-      return;
-    }
-  }
-  run_local(threads);
-}
-
-void ExperimentRunner::run_local(std::size_t threads) {
   if (threads == 0) threads = threads_from_env().value();
   results_.assign(jobs_.size(), ExperimentResult{});
   outcomes_.assign(jobs_.size(), JobFailure{});
   failures_.clear();
   done_.assign(jobs_.size(), 0);
-  if (journaling_) prepare_journal();
+  if (shardable_) prepare_journal();
 
   std::vector<std::string> job_names;
   job_names.reserve(jobs_.size());
@@ -375,10 +279,6 @@ void ExperimentRunner::run_local(std::size_t threads) {
     if (done_[i]) return;  // replayed from the journal; outcome is final
     outcome.index = i;
     outcome.name = jobs_[i].name;
-    if (shard_count_ > 1 && i % shard_count_ != shard_index_) {
-      outcome.status = JobStatus::kOk;  // another worker's cell
-      return;
-    }
     const std::uint32_t max_attempts = 1 + max_retries_;
     for (std::uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
       outcome.attempts = attempt;
@@ -448,8 +348,8 @@ void ExperimentRunner::collect_failures() {
 namespace {
 
 // Reconstructs a Status from the "<code>: <message>" text an outcome
-// serialized into a fragment, so the merged report's failures section is
-// byte-identical to the unsharded run's.
+// serialized into a journal record, so a resumed report's failures section
+// is byte-identical to the uninterrupted run's.
 Status parse_status(const std::string& text) {
   const std::size_t sep = text.find(": ");
   const std::string code_name =
@@ -465,19 +365,27 @@ Status parse_status(const std::string& text) {
   return internal_error(text);
 }
 
+// True when `value` is a whole number in [lo, hi]. Journal records are
+// outside input: the double is checked before any integer conversion, since
+// converting 2.5 would alias a real cell and -1 or 1e300 is undefined.
+bool whole_number_in(const JsonValue* value, double lo, double hi) {
+  return value != nullptr && value->is_number() && value->number >= lo &&
+         value->number <= hi && std::floor(value->number) == value->number;
+}
+
 }  // namespace
 
-// Opens this process's journal, first replaying it under STC_RESUME=1. A
+// Opens this runner's journal, first replaying it under STC_RESUME=1. A
 // record that fails to absorb (the grid changed under the journal) drops it
 // and everything after; the journal is then truncated to what was kept, so
 // appends continue from a clean prefix. Journal trouble never fails the run
-// — it degrades to journaling-off with a logged warning.
+// — it degrades to journaling-off (the journal stays closed) with a logged
+// warning.
 void ExperimentRunner::prepare_journal() {
   Result<std::string> path = journal_path();
   if (!path.is_ok()) {
     log::line("journal: " + path.status().to_string() +
               "; journaling disabled");
-    journaling_ = false;
     return;
   }
   std::uint64_t keep = 0;
@@ -504,12 +412,11 @@ void ExperimentRunner::prepare_journal() {
   }
   if (Status s = journal_.open(path.value(), keep); !s.is_ok()) {
     log::line("journal: " + s.to_string() + "; journaling disabled");
-    journaling_ = false;
   }
 }
 
 void ExperimentRunner::journal_append_outcome(std::size_t index) {
-  if (!journaling_ || !journal_.is_open()) return;
+  if (!journal_.is_open()) return;
   const JobFailure& outcome = outcomes_[index];
   JsonWriter w;
   w.begin_object();
@@ -549,12 +456,10 @@ Status ExperimentRunner::absorb_journal_payload(const std::string& payload) {
   if (!parse_error.empty()) return corrupt(parse_error);
   if (!root.is_object()) return corrupt("not a JSON object");
   const JsonValue* index = root.find("index");
-  if (index == nullptr || !index->is_number()) return corrupt("missing index");
-  const auto i = static_cast<std::size_t>(index->number);
-  if (i >= jobs_.size()) return corrupt("index out of range");
-  if (shard_count_ > 1 && i % shard_count_ != shard_index_) {
-    return corrupt("record outside this shard's slice");
+  if (!whole_number_in(index, 0.0, static_cast<double>(jobs_.size()) - 1.0)) {
+    return corrupt("index missing or not a job index");
   }
+  const auto i = static_cast<std::size_t>(index->number);
   const JsonValue* name = root.find("name");
   if (name == nullptr || !name->is_string() || name->text != jobs_[i].name) {
     return corrupt("job " + std::to_string(i) + " name mismatch");
@@ -567,9 +472,10 @@ Status ExperimentRunner::absorb_journal_payload(const std::string& payload) {
   outcome.index = i;
   outcome.name = jobs_[i].name;
   const JsonValue* tries = root.find("attempts");
-  outcome.attempts = tries != nullptr && tries->is_number()
-                         ? static_cast<std::uint32_t>(tries->number)
-                         : 1;
+  if (!whole_number_in(tries, 1.0, std::numeric_limits<std::uint32_t>::max())) {
+    return corrupt("attempts missing or not a count >= 1");
+  }
+  outcome.attempts = static_cast<std::uint32_t>(tries->number);
   if (status->text == "ok") {
     outcome.status = JobStatus::kOk;
     outcome.error = Status::ok();
@@ -584,7 +490,8 @@ Status ExperimentRunner::absorb_journal_payload(const std::string& payload) {
   }
   ExperimentResult result;
   if (const JsonValue* metrics = root.find("metrics"); metrics != nullptr) {
-    // json_number() round-trips exactly (see absorb_fragment).
+    // json_number() emits shortest-round-trip doubles, so parsing with
+    // strtod and re-serializing reproduces the recorded bytes exactly.
     for (const auto& m : metrics->members) {
       result.metric(m.first, m.second.number);
     }
@@ -598,353 +505,6 @@ Status ExperimentRunner::absorb_journal_payload(const std::string& payload) {
   results_[i] = std::move(result);
   done_[i] = 1;
   return Status::ok();
-}
-
-// The final report is durable — resume state has nothing left to add.
-// Removes this run's journal and any worker journals.
-void ExperimentRunner::remove_resume_state(const std::string& dir) const {
-  journal_.close();
-  std::remove((dir + "/BENCH_" + bench_name_ + ".journal").c_str());
-  remove_matching_files(dir, "BENCH_" + bench_name_ + ".shard", ".journal");
-}
-
-// Fragment and temp-file hygiene (journals are resume state and survive
-// unless explicitly dropped). Stale fragments from a previous crashed run
-// must never be absorbed as fresh results.
-void ExperimentRunner::cleanup_shard_scratch(const std::string& dir,
-                                             bool keep_journals) const {
-  const std::string prefix = "BENCH_" + bench_name_ + ".shard";
-  remove_matching_files(dir, prefix, ".json");
-  remove_matching_files(dir, prefix, ".json.tmp");
-  std::remove((dir + "/BENCH_" + bench_name_ + ".json.tmp").c_str());
-  if (!keep_journals) remove_matching_files(dir, prefix, ".journal");
-}
-
-Result<int> ExperimentRunner::spawn_shard(std::uint32_t shard,
-                                          std::uint32_t count, bool resume,
-                                          bool strip_crash) const {
-  if (Status s = fault::fail_if("shard.spawn", "spawning shard worker");
-      !s.is_ok()) {
-    return s;
-  }
-  // STC_SHARD_EXE lets tests point the worker protocol at a stand-in binary;
-  // production parents re-execute themselves.
-  const char* exe_override = std::getenv("STC_SHARD_EXE");
-  const std::string exe =
-      exe_override != nullptr ? exe_override : "/proc/self/exe";
-  const std::string spec =
-      std::to_string(shard) + "/" + std::to_string(count);
-  // Build the child's environment and argv before forking: the parent's
-  // environment minus any inherited STC_SHARD/STC_RESUME, plus this worker's
-  // slice. A respawn after a worker death resumes from the worker's journal
-  // and sheds STC_CRASH — a worker that crashed once must not crash at the
-  // same point forever.
-  std::vector<std::string> env_storage;
-  for (char** e = environ; *e != nullptr; ++e) {
-    if (std::strncmp(*e, "STC_SHARD=", 10) == 0) continue;
-    if (std::strncmp(*e, "STC_RESUME=", 11) == 0) continue;
-    if (strip_crash && std::strncmp(*e, "STC_CRASH=", 10) == 0) continue;
-    env_storage.emplace_back(*e);
-  }
-  env_storage.push_back("STC_SHARD=" + spec);
-  if (resume) env_storage.push_back("STC_RESUME=1");
-  std::vector<char*> envp;
-  envp.reserve(env_storage.size() + 1);
-  for (std::string& entry : env_storage) envp.push_back(entry.data());
-  envp.push_back(nullptr);
-  std::string arg0 = exe;
-  std::string arg1 = "--shard";
-  std::string arg2 = spec;
-  char* argv[] = {arg0.data(), arg1.data(), arg2.data(), nullptr};
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    return io_error(std::string("fork failed: ") + std::strerror(errno));
-  }
-  if (pid == 0) {
-    // Worker: its table printing duplicates the parent's, so stdout goes to
-    // /dev/null — the report fragment is the real output channel.
-    const int devnull = ::open("/dev/null", O_WRONLY);
-    if (devnull >= 0) {
-      ::dup2(devnull, STDOUT_FILENO);
-      ::close(devnull);
-    }
-    ::execve(exe.c_str(), argv, envp.data());
-    _exit(127);
-  }
-  return static_cast<int>(pid);
-}
-
-Status ExperimentRunner::absorb_fragment(std::uint32_t shard,
-                                         std::uint32_t count,
-                                         const std::string& path) {
-  const auto corrupt = [&](const std::string& what) {
-    return corrupt_data_error("shard fragment '" + path + "': " + what);
-  };
-  Result<std::vector<std::uint8_t>> bytes = read_file(path);
-  if (!bytes.is_ok()) {
-    return bytes.status().with_context("shard fragment");
-  }
-  const std::string doc(bytes.value().begin(), bytes.value().end());
-  std::string parse_error;
-  const JsonValue root = parse_json(doc, &parse_error);
-  if (!parse_error.empty()) return corrupt(parse_error);
-  if (!root.is_object()) return corrupt("not a JSON object");
-  const JsonValue* bench = root.find("bench");
-  if (bench == nullptr || !bench->is_string() || bench->text != bench_name_) {
-    return corrupt("fragment is for a different bench");
-  }
-  const JsonValue* schema = root.find("schema_version");
-  if (schema == nullptr || !schema->is_number() || schema->number != 3.0) {
-    return corrupt("unsupported schema version");
-  }
-  const JsonValue* results = root.find("results");
-  if (results == nullptr || !results->is_array() ||
-      results->items.size() != jobs_.size()) {
-    return corrupt("grid shape mismatch");
-  }
-  // Attempt counts live in the fragment's failures section, keyed by index.
-  std::vector<std::uint32_t> attempts(jobs_.size(), 1);
-  if (const JsonValue* failures = root.find("failures");
-      failures != nullptr && failures->is_array()) {
-    for (const JsonValue& f : failures->items) {
-      const JsonValue* index = f.find("index");
-      const JsonValue* tries = f.find("attempts");
-      if (index == nullptr || tries == nullptr) continue;
-      const auto i = static_cast<std::size_t>(index->number);
-      if (i < attempts.size()) {
-        attempts[i] = static_cast<std::uint32_t>(tries->number);
-      }
-    }
-  }
-  for (std::size_t j = shard; j < jobs_.size();
-       j += static_cast<std::size_t>(count)) {
-    const JsonValue& cell = results->items[j];
-    const JsonValue* cell_name = cell.find("name");
-    if (cell_name == nullptr || cell_name->text != jobs_[j].name) {
-      return corrupt("job " + std::to_string(j) + " name mismatch");
-    }
-    ExperimentResult result;
-    if (const JsonValue* metrics = cell.find("metrics"); metrics != nullptr) {
-      // json_number() emits shortest-round-trip doubles, so parsing with
-      // strtod and re-serializing reproduces the fragment's bytes exactly.
-      for (const auto& m : metrics->members) {
-        result.metric(m.first, m.second.number);
-      }
-    }
-    if (const JsonValue* counters = cell.find("counters");
-        counters != nullptr) {
-      for (const auto& c : counters->members) {
-        result.counters().add(
-            c.first, std::strtoull(c.second.text.c_str(), nullptr, 10));
-      }
-    }
-    JobFailure& outcome = outcomes_[j];
-    outcome.index = j;
-    outcome.name = jobs_[j].name;
-    if (const JsonValue* status = cell.find("status"); status != nullptr) {
-      outcome.status = status->text == "timed_out" ? JobStatus::kTimedOut
-                                                   : JobStatus::kFailed;
-      outcome.attempts = attempts[j];
-      const JsonValue* error = cell.find("error");
-      outcome.error = parse_status(error != nullptr ? error->text
-                                                    : "missing error text");
-    } else {
-      outcome.status = JobStatus::kOk;
-      outcome.attempts = 1;
-      outcome.error = Status::ok();
-    }
-    results_[j] = std::move(result);
-  }
-  std::remove(path.c_str());
-  return Status::ok();
-}
-
-void ExperimentRunner::run_sharded(std::uint32_t shards) {
-  results_.assign(jobs_.size(), ExperimentResult{});
-  outcomes_.assign(jobs_.size(), JobFailure{});
-  failures_.clear();
-  threads_used_ = shards;
-
-  Result<std::string> dir = env::bench_dir();
-  STC_CHECK_MSG(dir.is_ok(), "STC_BENCH_DIR not validated before use");
-  const auto fragment_path = [&](std::uint32_t s) {
-    return dir.value() + "/BENCH_" + bench_name_ + shard_suffix(s, shards) +
-           ".json";
-  };
-  const auto worker_journal_path = [&](std::uint32_t s) {
-    return dir.value() + "/BENCH_" + bench_name_ + shard_suffix(s, shards) +
-           ".journal";
-  };
-
-  // Stale fragments and temp files from an earlier crashed run are cleaned,
-  // never trusted; worker journals survive only when this run resumes from
-  // them.
-  cleanup_shard_scratch(dir.value(), /*keep_journals=*/resume_);
-
-  const auto start = Clock::now();
-  const std::uint32_t max_attempts = 1 + max_retries_;
-
-  struct Worker {
-    pid_t pid = -1;
-    int pid_slot = -1;
-    std::uint32_t attempts = 0;
-    bool running = false;
-    bool merged = false;
-    bool hang_killed = false;
-    std::int64_t journal_size = -1;
-    Clock::time_point last_progress;
-    Status last_error;
-  };
-  std::vector<Worker> workers(shards);
-
-  // Spawns (or respawns) worker s, consuming one attempt per try; immediate
-  // spawn failures burn through the budget here. First attempts inherit the
-  // parent's resume mode; a respawn after a worker death always resumes from
-  // the journal the dead worker left behind, and sheds STC_CRASH so a
-  // crashed-once worker is not doomed to crash at the same point forever.
-  const auto spawn = [&](std::uint32_t s) {
-    Worker& w = workers[s];
-    while (w.attempts < max_attempts) {
-      ++w.attempts;
-      const bool resume_child = resume_ || w.attempts > 1;
-      Result<int> child =
-          spawn_shard(s, shards, resume_child, /*strip_crash=*/w.attempts > 1);
-      if (child.is_ok()) {
-        w.pid = static_cast<pid_t>(child.value());
-        w.pid_slot = register_shard_pid(w.pid);
-        w.running = true;
-        w.hang_killed = false;
-        w.journal_size = file_size_or(worker_journal_path(s), -1);
-        w.last_progress = Clock::now();
-        return;
-      }
-      w.last_error = child.status();
-    }
-  };
-
-  // One worker left the running set: judge its exit, absorb its fragment,
-  // respawn within the budget on any failure.
-  const auto reap = [&](std::uint32_t s, int wstatus, bool reaped_ok) {
-    Worker& w = workers[s];
-    unregister_shard_pid(w.pid_slot);
-    w.pid_slot = -1;
-    w.running = false;
-    Status err;
-    if (w.hang_killed) {
-      err = timeout_error("shard worker made no journal progress within its " +
-                          json_number(heartbeat_) + "s heartbeat deadline");
-    } else if (!reaped_ok || !WIFEXITED(wstatus)) {
-      err = io_error("shard worker died abnormally");
-    } else if (const int code = WEXITSTATUS(wstatus); code != 0 && code != 3) {
-      // 0 = clean, 3 = partial success (per-job failures are in the
-      // fragment); anything else means the worker never got that far.
-      err = io_error("shard worker exited with code " + std::to_string(code));
-    } else {
-      err = absorb_fragment(s, shards, fragment_path(s));
-    }
-    if (err.is_ok()) {
-      w.merged = true;
-      return;
-    }
-    w.last_error = err;
-    if (w.attempts < max_attempts) spawn(s);
-  };
-
-  for (std::uint32_t s = 0; s < shards; ++s) spawn(s);
-
-  // Supervision loop: reap exits without blocking; the worker journal's
-  // growth is the liveness signal (every completed cell fsyncs a record), so
-  // a journal that stalls past the heartbeat deadline marks a wedged worker
-  // — SIGKILL it and reassign its slice. Heartbeat 0 supervises by exit
-  // status alone.
-  while (true) {
-    bool any_running = false;
-    bool any_event = false;
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      Worker& w = workers[s];
-      if (!w.running) continue;
-      any_running = true;
-      int wstatus = 0;
-      pid_t r;
-      do {
-        r = ::waitpid(w.pid, &wstatus, WNOHANG);
-      } while (r < 0 && errno == EINTR);
-      if (r != 0) {
-        any_event = true;
-        reap(s, wstatus, r == w.pid);
-        continue;
-      }
-      if (heartbeat_ > 0.0) {
-        const std::int64_t size = file_size_or(worker_journal_path(s), -1);
-        if (size != w.journal_size) {
-          w.journal_size = size;
-          w.last_progress = Clock::now();
-        } else if (seconds_since(w.last_progress) > heartbeat_) {
-          // Wedged. SIGKILL cannot be blocked, so the blocking reap here is
-          // prompt.
-          w.hang_killed = true;
-          ::kill(w.pid, SIGKILL);
-          do {
-            r = ::waitpid(w.pid, &wstatus, 0);
-          } while (r < 0 && errno == EINTR);
-          any_event = true;
-          reap(s, wstatus, r == w.pid);
-        }
-      }
-    }
-    if (!any_running) break;
-    if (!any_event) std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    if (workers[s].merged) continue;
-    const Status error = workers[s].last_error.with_context(
-        "shard " + std::to_string(s) + "/" + std::to_string(shards));
-    for (std::size_t j = s; j < jobs_.size();
-         j += static_cast<std::size_t>(shards)) {
-      outcomes_[j].index = j;
-      outcomes_[j].name = jobs_[j].name;
-      outcomes_[j].status = JobStatus::kFailed;
-      outcomes_[j].attempts = workers[s].attempts;
-      outcomes_[j].error = error.with_context("job '" + jobs_[j].name + "'");
-    }
-  }
-  // Fragments are absorbed-and-deleted on success; whatever is left — a
-  // corrupt fragment from an exhausted shard, temp litter from a killed
-  // worker — goes now. Worker journals stay: they are the resume state a
-  // future STC_RESUME=1 run (or write_report on success) retires.
-  cleanup_shard_scratch(dir.value(), /*keep_journals=*/true);
-  record_phase("replay", seconds_since(start));
-  collect_failures();
-}
-
-Status ExperimentRunner::merge_fragments(
-    const std::vector<std::string>& fragment_paths) {
-  STC_REQUIRE(!ran_ && !fragment_paths.empty());
-  ran_ = true;
-  results_.assign(jobs_.size(), ExperimentResult{});
-  outcomes_.assign(jobs_.size(), JobFailure{});
-  failures_.clear();
-  const auto count = static_cast<std::uint32_t>(fragment_paths.size());
-  threads_used_ = count;
-  Status first_error;
-  for (std::uint32_t s = 0; s < count; ++s) {
-    Status err = absorb_fragment(s, count, fragment_paths[s]);
-    if (err.is_ok()) continue;
-    if (first_error.is_ok()) first_error = err;
-    const Status error = err.with_context("shard " + std::to_string(s) + "/" +
-                                          std::to_string(count));
-    for (std::size_t j = s; j < jobs_.size();
-         j += static_cast<std::size_t>(count)) {
-      outcomes_[j].index = j;
-      outcomes_[j].name = jobs_[j].name;
-      outcomes_[j].status = JobStatus::kFailed;
-      outcomes_[j].attempts = 1;
-      outcomes_[j].error = error.with_context("job '" + jobs_[j].name + "'");
-    }
-  }
-  collect_failures();
-  return first_error;
 }
 
 const ExperimentResult& ExperimentRunner::result(std::size_t index) const {
@@ -1114,22 +674,16 @@ std::string ExperimentRunner::report_json() const {
 Result<std::string> ExperimentRunner::write_report() const {
   Result<std::string> dir = env::bench_dir();
   if (!dir.is_ok()) return dir.status().with_context("bench report");
-  // A shard worker writes a fragment the parent will merge and delete; only
-  // the parent (or an unsharded run) writes the canonical report name.
-  const std::string suffix =
-      shard_count_ > 1 ? shard_suffix(shard_index_, shard_count_) : "";
-  const std::string path =
-      dir.value() + "/BENCH_" + bench_name_ + suffix + ".json";
+  const std::string path = dir.value() + "/BENCH_" + bench_name_ + ".json";
   const std::string doc = report_json() + "\n";
   if (Status s =
           write_file_atomic(path, doc.data(), doc.size(), "report.write");
       !s.is_ok()) {
     return s.with_context("bench report '" + path + "'");
   }
-  // The canonical report is durable: the journal(s) that would rebuild it
-  // are spent. A worker keeps its journal — only the parent's merge makes
-  // the worker's cells durable in the canonical report.
-  if (shard_count_ == 1) remove_resume_state(dir.value());
+  // The report is durable: the journal that would rebuild it is spent.
+  journal_.close();
+  std::remove((dir.value() + "/BENCH_" + bench_name_ + ".journal").c_str());
   return path;
 }
 

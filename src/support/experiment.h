@@ -16,27 +16,14 @@
 // serializes byte-identically to a clean run. The process exit code (via
 // exit_code()) reflects partial success.
 //
-// Grids declared shardable (bench::make_runner does this) additionally scale
-// across worker *processes*: with STC_SHARDS=N > 1 the runner re-executes
-// its own binary N times with "--shard i/N" (STC_SHARD in the environment),
-// each worker runs the modulo-i slice of the grid and writes a report
-// *fragment* (BENCH_<name>.shard<i>of<N>.json) through the same atomic
-// writer, and the parent merges the fragments back into one report that is
-// byte-identical — outside wall-clock timing fields — to an unsharded run.
-// Worker spawn/exit/fragment failures ride the same retry machinery as job
-// faults; a shard that stays broken marks only its own cells failed.
-//
-// Crash resilience (shardable grids): every completed cell is appended to a
-// CRC-framed journal (BENCH_<name>.journal; workers use the shard-suffixed
-// name) as it finishes, durable before the next cell starts. STC_RESUME=1
-// replays the journal on startup and skips the recorded cells — a run killed
-// at any byte boundary resumes to a final report byte-identical (modulo
-// timings; see STC_ZERO_TIMINGS) to an uninterrupted one. The sharding
-// parent supervises workers: STC_HEARTBEAT > 0 SIGKILLs a worker whose
-// journal stops growing and reassigns its slice (the respawn resumes from
-// that same journal), torn journal tails are truncated not trusted, and
-// leftover fragments/temp files are cleaned on every exit path, including
-// SIGINT/SIGTERM.
+// Crash resilience (shardable grids, see set_shardable): every completed
+// cell is appended to a CRC-framed journal (BENCH_<name>.journal) as it
+// finishes, durable before the next cell starts. STC_RESUME=1 replays the
+// journal on startup and skips the recorded cells — a run killed at any byte
+// boundary resumes to a final report byte-identical (modulo timings; see
+// STC_ZERO_TIMINGS) to an uninterrupted one. Torn journal tails are
+// truncated, not trusted, and SIGINT/SIGTERM unlink in-flight temp files
+// before the process dies by the signal.
 #pragma once
 
 #include <cstddef>
@@ -122,35 +109,17 @@ class ExperimentRunner {
   void set_max_retries(std::uint32_t retries);
   void set_job_timeout(double seconds);  // 0 disables the deadline
 
-  // Opts this grid into process sharding (see the header comment). Only
-  // binaries whose main rebuilds the identical grid from the environment may
-  // set this — the worker protocol re-executes the binary and trusts job
-  // index i to mean the same cell in every process. Shardable grids journal
-  // by default (the same rebuild-identical-grid property resume requires).
+  // Declares that job index i names the same cell in every process that
+  // builds this grid — true when the binary's main rebuilds the identical
+  // grid from the environment. That is the property the journal needs: a
+  // shardable grid journals each finished cell and honors STC_RESUME=1.
+  // Plain grids (tests, embedding tools) neither journal nor resume.
   void set_shardable(bool shardable) { shardable_ = shardable; }
   bool shardable() const { return shardable_; }
 
-  // Overrides the journaling default (shardable grids journal, plain grids
-  // do not). Journaled grids honor STC_RESUME=1.
-  void set_journaling(bool journaling) {
-    journaling_ = journaling;
-    journaling_set_ = true;
-  }
-
-  // Overrides the STC_HEARTBEAT shard-supervision deadline (seconds; 0
-  // disables liveness kills, workers are then only supervised by exit).
-  void set_heartbeat(double seconds);
-
-  // The journal this process appends to: <dir>/BENCH_<name>.journal, with
-  // the shard suffix inside a worker. Errors only on a bad STC_BENCH_DIR.
+  // The journal this runner appends to: <dir>/BENCH_<name>.journal. Errors
+  // only on a bad STC_BENCH_DIR.
   Result<std::string> journal_path() const;
-
-  // Merges worker report fragments into this runner's results exactly as
-  // the sharding parent does: fragment_paths[i] must be shard i of
-  // fragment_paths.size(). Replaces run(); merged fragments are deleted.
-  // Returns the first absorb error (those shards' cells are marked failed);
-  // public for tests and offline tooling.
-  Status merge_fragments(const std::vector<std::string>& fragment_paths);
 
   // Executes all jobs across `threads` workers (0 = STC_THREADS, falling back
   // to hardware concurrency) and records the "replay" phase time plus
@@ -199,23 +168,14 @@ class ExperimentRunner {
   // Writes report_json() atomically to <dir>/BENCH_<name>.json where <dir>
   // is STC_BENCH_DIR or the working directory; returns the path written or
   // a structured error (bad dir, failed write, injected "report.write.*"
-  // fault) — never a torn file. A shard worker writes its fragment
-  // (BENCH_<name>.shard<i>of<N>.json) instead.
+  // fault) — never a torn file.
   Result<std::string> write_report() const;
 
  private:
-  void run_local(std::size_t threads);
-  void run_sharded(std::uint32_t shards);
-  Result<int> spawn_shard(std::uint32_t shard, std::uint32_t count,
-                          bool resume, bool strip_crash) const;
-  Status absorb_fragment(std::uint32_t shard, std::uint32_t count,
-                         const std::string& path);
   void collect_failures();
   void prepare_journal();
   void journal_append_outcome(std::size_t index);
   Status absorb_journal_payload(const std::string& payload);
-  void remove_resume_state(const std::string& dir) const;
-  void cleanup_shard_scratch(const std::string& dir, bool keep_journals) const;
   struct Job {
     std::string name;
     std::vector<std::pair<std::string, std::string>> params;
@@ -242,17 +202,11 @@ class ExperimentRunner {
   bool retries_set_ = false;
   double job_timeout_ = 0.0;
   bool timeout_set_ = false;
-  double heartbeat_ = 0.0;
-  bool heartbeat_set_ = false;
   std::size_t threads_used_ = 0;
   bool ran_ = false;
   bool shardable_ = false;
-  bool journaling_ = false;
-  bool journaling_set_ = false;
   bool resume_ = false;
-  std::uint32_t shard_index_ = 0;  // this process's slice when shard_count_>1
-  std::uint32_t shard_count_ = 1;  // >1 only inside a worker process
-  std::vector<char> done_;         // cells absorbed from the journal
+  std::vector<char> done_;  // cells absorbed from the journal
   // write_report() (const) retires the journal after the report is durable.
   mutable JournalWriter journal_;
 };

@@ -101,9 +101,9 @@ Status arm_spec_locked(Registry& r, std::string_view spec) {
 }
 
 // Appends one "point hit-count" line per seen point to STC_FAULT_DUMP.
-// Append mode: a sharded run has every process (parent + workers) dump into
-// the same file; readers take the max count per point, which is exactly the
-// per-process hit number STC_CRASH arming needs.
+// Append mode: every process that shares the dump path adds its own lines;
+// readers take the max count per point, which is exactly the per-process hit
+// number STC_CRASH arming needs.
 void dump_hits_at_exit() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);

@@ -1,14 +1,12 @@
 // Minimal recursive-descent JSON reader.
 //
 // Just enough to read back the documents support/json.h writes (BENCH_*.json
-// reports and shard fragments): objects keep key insertion order so
-// structural comparisons — and byte-deterministic re-serialization via
+// reports and experiment journal records): objects keep key insertion order
+// so structural comparisons — and byte-deterministic re-serialization via
 // json_number()'s round-trip guarantee — work against the exact order the
 // writer emits. Not a general validator: numbers parse via strtod, strings
 // handle the writer's escape set, and parse errors surface as a null value
-// plus an error string. Grew out of the test-only parser in
-// tests/testing/json_parse.h, promoted here when the sharded experiment
-// runner needed to merge worker report fragments in production code.
+// plus an error string.
 #pragma once
 
 #include <string>

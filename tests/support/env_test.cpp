@@ -345,30 +345,6 @@ TEST(EnvTest, ValidateAllChecksFaultSpecSyntax) {
   EXPECT_NE(s.message().find("STC_FAULT"), std::string::npos);
 }
 
-TEST(EnvTest, ShardsBounded) {
-  EXPECT_EQ(shards().value(), 1u);  // default: no sharding
-  {
-    ScopedEnv guard("STC_SHARDS", "8");
-    EXPECT_EQ(shards().value(), 8u);
-  }
-  for (const char* bad : {"0", "257", "four"}) {
-    ScopedEnv guard("STC_SHARDS", bad);
-    expect_knob_error(shards(), "STC_SHARDS", bad);
-  }
-}
-
-TEST(EnvTest, ShardSpecIsIndexSlashCount) {
-  EXPECT_EQ(shard().value(), "");  // default: not a shard worker
-  {
-    ScopedEnv guard("STC_SHARD", "2/4");
-    EXPECT_EQ(shard().value(), "2/4");
-  }
-  for (const char* bad : {"4/4", "2", "/4", "2/", "a/b", "1/300"}) {
-    ScopedEnv guard("STC_SHARD", bad);
-    expect_knob_error(shard(), "STC_SHARD", bad);
-  }
-}
-
 TEST(EnvTest, MmapIsStrictlyBoolean) {
   EXPECT_TRUE(mmap_enabled().value());  // default on
   {
@@ -390,13 +366,6 @@ TEST(EnvTest, PlanCacheDirMustExist) {
                     "/nonexistent/cache/dir");
 }
 
-TEST(EnvTest, ValidateAllChecksShardKnobs) {
-  ScopedEnv guard("STC_SHARDS", "1000");
-  const Status s = validate_all();
-  ASSERT_FALSE(s.is_ok());
-  EXPECT_NE(s.message().find("STC_SHARDS"), std::string::npos);
-}
-
 TEST(EnvTest, ResumeIsStrictlyBoolean) {
   {
     ScopedEnv guard("STC_RESUME", nullptr);
@@ -413,25 +382,6 @@ TEST(EnvTest, ResumeIsStrictlyBoolean) {
   for (const char* bad : {"yes", "true", "2"}) {
     ScopedEnv guard("STC_RESUME", bad);
     expect_knob_error(resume(), "STC_RESUME", bad);
-  }
-}
-
-TEST(EnvTest, HeartbeatNonNegativeSeconds) {
-  {
-    ScopedEnv guard("STC_HEARTBEAT", nullptr);
-    EXPECT_DOUBLE_EQ(heartbeat().value(), 0.0);  // default: supervision off
-  }
-  {
-    ScopedEnv guard("STC_HEARTBEAT", "2.5");
-    EXPECT_DOUBLE_EQ(heartbeat().value(), 2.5);
-  }
-  {
-    ScopedEnv guard("STC_HEARTBEAT", "0");
-    EXPECT_DOUBLE_EQ(heartbeat().value(), 0.0);
-  }
-  for (const char* bad : {"-1", "inf", "nan", "soon", ""}) {
-    ScopedEnv guard("STC_HEARTBEAT", bad);
-    expect_knob_error(heartbeat(), "STC_HEARTBEAT", bad);
   }
 }
 
@@ -457,14 +407,8 @@ TEST(EnvTest, ValidateAllChecksResilienceKnobs) {
     ASSERT_FALSE(s.is_ok());
     EXPECT_NE(s.message().find("STC_RESUME"), std::string::npos);
   }
-  {
-    ScopedEnv guard("STC_HEARTBEAT", "-3");
-    const Status s = validate_all();
-    ASSERT_FALSE(s.is_ok());
-    EXPECT_NE(s.message().find("STC_HEARTBEAT"), std::string::npos);
-  }
   // STC_CRASH shares the fault-spec grammar; malformed specs are rejected up
-  // front rather than exploding inside a worker.
+  // front rather than exploding mid-run.
   ScopedEnv guard("STC_CRASH", "point:");
   const Status s = validate_all();
   ASSERT_FALSE(s.is_ok());

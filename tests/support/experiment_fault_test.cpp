@@ -11,7 +11,7 @@
 #include "support/error.h"
 #include "support/experiment.h"
 #include "support/faultpoint.h"
-#include "testing/json_parse.h"
+#include "support/json_read.h"
 
 namespace stc {
 namespace {
@@ -182,9 +182,9 @@ TEST_F(ExperimentFaultTest, SuccessfulCellsStayByteIdenticalToCleanRun) {
   // Every successful cell of the degraded run serializes to the exact bytes
   // of its clean-run counterpart (the failing cell is extra, between them).
   std::string err;
-  const testing::JsonValue c = testing::parse_json(clean, &err);
+  const JsonValue c = parse_json(clean, &err);
   ASSERT_EQ(err, "");
-  const testing::JsonValue d = testing::parse_json(degraded, &err);
+  const JsonValue d = parse_json(degraded, &err);
   ASSERT_EQ(err, "");
   ASSERT_EQ(c.items.size(), 2u);
   ASSERT_EQ(d.items.size(), 3u);
@@ -199,7 +199,7 @@ TEST_F(ExperimentFaultTest, SuccessfulCellsStayByteIdenticalToCleanRun) {
   EXPECT_NE(degraded.find(cell_a), std::string::npos);
   EXPECT_NE(degraded.find(cell_c), std::string::npos);
   // And the failed cell carries status/error instead of metrics.
-  const testing::JsonValue& failed = d.items[1];
+  const JsonValue& failed = d.items[1];
   EXPECT_EQ(failed.find("status")->text, "failed");
   EXPECT_NE(failed.find("error"), nullptr);
 }
@@ -213,13 +213,13 @@ TEST_F(ExperimentFaultTest, ReportJsonCarriesFailuresSection) {
   runner.set_max_retries(1);
   runner.run(1);
   std::string err;
-  const testing::JsonValue report =
-      testing::parse_json(runner.report_json(), &err);
+  const JsonValue report =
+      parse_json(runner.report_json(), &err);
   ASSERT_EQ(err, "");
-  const testing::JsonValue* failures = report.find("failures");
+  const JsonValue* failures = report.find("failures");
   ASSERT_TRUE(failures != nullptr && failures->is_array());
   ASSERT_EQ(failures->items.size(), 1u);
-  const testing::JsonValue& f = failures->items[0];
+  const JsonValue& f = failures->items[0];
   EXPECT_EQ(f.members[0].first, "job");
   EXPECT_EQ(f.find("job")->text, "dead");
   EXPECT_EQ(f.find("index")->number, 1.0);

@@ -5,6 +5,8 @@
 #include "support/experiment.h"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -15,6 +17,7 @@
 
 #include "support/error.h"
 #include "support/faultpoint.h"
+#include "support/io.h"
 #include "support/journal.h"
 
 namespace stc {
@@ -67,16 +70,18 @@ class ExperimentResumeTest : public ::testing::Test {
   }
 
   // A 6-cell grid; `ran` records which cells actually executed in this
-  // process (a resumed cell must not re-execute).
+  // process (a resumed cell must not re-execute). Cell `sigterm_index`
+  // raises SIGTERM, as an operator's kill would land mid-run.
   ExperimentRunner make_grid(std::vector<int>* ran = nullptr,
-                             int failing_index = -1) {
+                             int failing_index = -1, int sigterm_index = -1) {
     ExperimentRunner runner("resumegrid");
     runner.set_shardable(true);  // journaling rides the shardable contract
     runner.meta("k", std::uint64_t{6});
     for (std::size_t i = 0; i < 6; ++i) {
       runner.add("cell " + std::to_string(i), {{"index", std::to_string(i)}},
-                 [i, ran, failing_index] {
+                 [i, ran, failing_index, sigterm_index] {
                    if (ran != nullptr) ran->push_back(static_cast<int>(i));
+                   if (static_cast<int>(i) == sigterm_index) ::raise(SIGTERM);
                    if (static_cast<int>(i) == failing_index) {
                      throw StatusError(
                          internal_error("deliberate failure in cell"));
@@ -249,14 +254,121 @@ TEST_F(ExperimentResumeTest, PlainRunnersDoNotJournal) {
   EXPECT_FALSE(file_exists(journal_file()));
 }
 
-TEST_F(ExperimentResumeTest, SetJournalingOverridesTheDefault) {
+TEST_F(ExperimentResumeTest, SetShardableOptsIntoJournaling) {
   ScopedEnv bench_dir("STC_BENCH_DIR", dir_.c_str());
   ScopedEnv resume("STC_RESUME", nullptr);
+  {
+    ExperimentRunner runner("resumegrid");
+    runner.set_shardable(true);
+    runner.set_shardable(false);  // the last word wins
+    runner.add("only", [] { return ExperimentResult(); });
+    runner.run(1);
+    EXPECT_FALSE(file_exists(journal_file()));
+  }
   ExperimentRunner runner("resumegrid");
-  runner.set_journaling(true);  // journaling without the shard contract
+  runner.set_shardable(true);
   runner.add("only", [] { return ExperimentResult(); });
   runner.run(1);
   EXPECT_TRUE(file_exists(journal_file()));
+}
+
+// Journal records are input from outside the program: a CRC-valid record
+// whose index or attempt count is not a whole number in range must be
+// rejected (with every later record) before any integer conversion, never
+// rounded onto a real cell.
+TEST_F(ExperimentResumeTest, NonIntegralOrOutOfRangeRecordNumbersAreDropped) {
+  ScopedEnv bench_dir("STC_BENCH_DIR", dir_.c_str());
+  ScopedEnv zero("STC_ZERO_TIMINGS", "1");
+  std::vector<std::string> payloads;
+  std::string reference;
+  {
+    ScopedEnv resume("STC_RESUME", nullptr);
+    ExperimentRunner runner = make_grid();
+    runner.run(1);
+    reference = runner.report_json();
+    Result<JournalScan> scan = read_journal(journal_file());
+    ASSERT_TRUE(scan.is_ok());
+    payloads = scan.value().payloads;
+    ASSERT_EQ(payloads.size(), 6u);
+  }
+  // Each case rewrites one field of cell 2's genuine record.
+  const struct {
+    const char* field;
+    const char* bad;
+  } cases[] = {
+      {"\"index\": 2", "\"index\": 2.5"},
+      {"\"index\": 2", "\"index\": -1"},
+      {"\"index\": 2", "\"index\": 1e300"},
+      {"\"attempts\": 1", "\"attempts\": 0"},
+      {"\"attempts\": 1", "\"attempts\": 1.5"},
+      {"\"attempts\": 1", "\"attempts\": 1e300"},
+      {"\"attempts\": 1", "\"tries\": 1"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.bad);
+    std::string bad_record = payloads[2];
+    const std::size_t at = bad_record.find(c.field);
+    ASSERT_NE(at, std::string::npos) << bad_record;
+    bad_record.replace(at, std::string(c.field).size(), c.bad);
+    std::remove(journal_file().c_str());
+    {
+      JournalWriter writer;
+      ASSERT_TRUE(writer.open(journal_file(), 0).is_ok());
+      for (const std::string& record :
+           {payloads[0], bad_record, payloads[3], payloads[4]}) {
+        ASSERT_TRUE(writer.append(record).is_ok());
+      }
+    }
+    ScopedEnv resume("STC_RESUME", "1");
+    std::vector<int> ran;
+    ExperimentRunner resumed = make_grid(&ran);
+    resumed.run(1);
+    EXPECT_EQ(ran, (std::vector<int>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(resumed.report_json(), reference);
+  }
+}
+
+// SIGTERM mid-run: the handler unlinks registered in-flight temp files and
+// the process dies by the signal; the fsync'd journal then resumes to the
+// report an uninterrupted run produces.
+TEST_F(ExperimentResumeTest, SigtermCleansTempFilesAndTheRunResumes) {
+  ScopedEnv bench_dir("STC_BENCH_DIR", dir_.c_str());
+  ScopedEnv zero("STC_ZERO_TIMINGS", "1");
+  ScopedEnv threads("STC_THREADS", nullptr);
+  const std::string temp = dir_ + "/BENCH_resumegrid.json.tmp";
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::FILE* f = std::fopen(temp.c_str(), "wb");
+    if (f == nullptr) ::_exit(10);
+    std::fclose(f);
+    if (register_signal_cleanup_path(temp) < 0) ::_exit(11);
+    ::unsetenv("STC_RESUME");
+    ExperimentRunner runner = make_grid(nullptr, -1, /*sigterm_index=*/3);
+    runner.run(1);
+    ::_exit(12);  // the SIGTERM should have ended the process
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(wstatus))
+      << "child exited with code " << WEXITSTATUS(wstatus);
+  EXPECT_EQ(WTERMSIG(wstatus), SIGTERM);
+  EXPECT_FALSE(file_exists(temp));
+
+  std::string resumed_report;
+  {
+    ScopedEnv resume("STC_RESUME", "1");
+    std::vector<int> ran;
+    ExperimentRunner resumed = make_grid(&ran);
+    resumed.run(1);
+    EXPECT_EQ(ran, (std::vector<int>{3, 4, 5}));  // cells 0-2 were journaled
+    EXPECT_TRUE(resumed.all_ok());
+    resumed_report = resumed.report_json();
+  }
+  ScopedEnv resume("STC_RESUME", nullptr);
+  ExperimentRunner clean = make_grid();
+  clean.run(1);
+  EXPECT_EQ(resumed_report, clean.report_json());
 }
 
 }  // namespace

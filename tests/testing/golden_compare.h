@@ -17,7 +17,7 @@
 #include <sstream>
 #include <string>
 
-#include "testing/json_parse.h"
+#include "support/json_read.h"
 
 namespace stc::testing {
 

@@ -19,8 +19,8 @@
 #include "cfg/address_map.h"
 #include "cfg/builder.h"
 #include "support/experiment.h"
+#include "support/json_read.h"
 #include "testing/golden_compare.h"
-#include "testing/json_parse.h"
 
 #ifndef STC_VERIFY_TEST_DIR
 #define STC_VERIFY_TEST_DIR "."
@@ -122,14 +122,14 @@ TEST(BackendSchemaTest, ReportMatchesGoldenFile) {
 // the perfect row has.
 TEST(BackendSchemaTest, RealisticRowsExtendPerfectRows) {
   std::string err;
-  const testing::JsonValue report = testing::parse_json(build_report(), &err);
+  const JsonValue report = parse_json(build_report(), &err);
   ASSERT_EQ(err, "");
-  const testing::JsonValue* results = report.find("results");
+  const JsonValue* results = report.find("results");
   ASSERT_TRUE(results != nullptr && results->is_array());
   ASSERT_EQ(results->items.size(), 2u);
 
-  const testing::JsonValue* perfect = results->items[0].find("counters");
-  const testing::JsonValue* gshare = results->items[1].find("counters");
+  const JsonValue* perfect = results->items[0].find("counters");
+  const JsonValue* gshare = results->items[1].find("counters");
   ASSERT_TRUE(perfect != nullptr && gshare != nullptr);
   for (const auto& [key, value] : perfect->members) {
     EXPECT_TRUE(gshare->find(key) != nullptr) << key;

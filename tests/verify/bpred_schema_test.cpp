@@ -21,8 +21,8 @@
 #include "sim/fetch_unit.h"
 #include "sim/icache.h"
 #include "support/experiment.h"
+#include "support/json_read.h"
 #include "testing/golden_compare.h"
-#include "testing/json_parse.h"
 
 #ifndef STC_VERIFY_TEST_DIR
 #define STC_VERIFY_TEST_DIR "."
@@ -127,14 +127,14 @@ TEST(BpredSchemaTest, ReportMatchesGoldenFile) {
 // plain counter set, realistic rows add mpki and the front-end counters.
 TEST(BpredSchemaTest, RealisticRowsExtendPerfectRows) {
   std::string err;
-  const testing::JsonValue report = testing::parse_json(build_report(), &err);
+  const JsonValue report = parse_json(build_report(), &err);
   ASSERT_EQ(err, "");
-  const testing::JsonValue* results = report.find("results");
+  const JsonValue* results = report.find("results");
   ASSERT_TRUE(results != nullptr && results->is_array());
   ASSERT_EQ(results->items.size(), 2u);
 
-  const testing::JsonValue* perfect = results->items[0].find("counters");
-  const testing::JsonValue* gshare = results->items[1].find("counters");
+  const JsonValue* perfect = results->items[0].find("counters");
+  const JsonValue* gshare = results->items[1].find("counters");
   ASSERT_TRUE(perfect != nullptr && gshare != nullptr);
   // Every plain counter key also appears in the realistic row.
   for (const auto& [key, value] : perfect->members) {

@@ -13,8 +13,8 @@
 #include <string>
 
 #include "support/experiment.h"
+#include "support/json_read.h"
 #include "testing/golden_compare.h"
-#include "testing/json_parse.h"
 
 #ifndef STC_VERIFY_TEST_DIR
 #define STC_VERIFY_TEST_DIR "."
@@ -23,7 +23,6 @@
 namespace stc {
 namespace {
 
-using testing::JsonValue;
 
 std::string golden_path() {
   return std::string(STC_VERIFY_TEST_DIR) + "/golden/BENCH_golden.json";
@@ -75,7 +74,7 @@ TEST(GoldenSchemaTest, ReportMatchesGoldenFile) {
 // file's bytes: top-level key order and the per-cell shape.
 TEST(GoldenSchemaTest, TopLevelShapeIsStable) {
   std::string err;
-  const JsonValue report = testing::parse_json(build_report(), &err);
+  const JsonValue report = parse_json(build_report(), &err);
   ASSERT_EQ(err, "");
   ASSERT_TRUE(report.is_object());
   const char* expected[] = {"bench",      "schema_version", "threads",

@@ -22,8 +22,8 @@
 #include "sim/icache.h"
 #include "support/check.h"
 #include "support/experiment.h"
+#include "support/json_read.h"
 #include "testing/golden_compare.h"
-#include "testing/json_parse.h"
 #include "workload/composer.h"
 
 #ifndef STC_VERIFY_TEST_DIR
@@ -128,20 +128,20 @@ TEST(MultitenantSchemaTest, ReportMatchesGoldenFile) {
 // headline, and the merged fetch counters.
 TEST(MultitenantSchemaTest, TenantCellShapeIsStable) {
   std::string err;
-  const testing::JsonValue report = testing::parse_json(build_report(), &err);
+  const JsonValue report = parse_json(build_report(), &err);
   ASSERT_EQ(err, "");
   EXPECT_EQ(report.find("schema_version")->number, 3.0);
-  const testing::JsonValue* failures = report.find("failures");
+  const JsonValue* failures = report.find("failures");
   ASSERT_TRUE(failures != nullptr && failures->is_array());
   EXPECT_TRUE(failures->items.empty());
 
-  const testing::JsonValue* results = report.find("results");
+  const JsonValue* results = report.find("results");
   ASSERT_TRUE(results != nullptr && results->is_array());
   ASSERT_EQ(results->items.size(), 2u);
-  for (const testing::JsonValue& cell : results->items) {
-    const testing::JsonValue* params = cell.find("params");
-    const testing::JsonValue* metrics = cell.find("metrics");
-    const testing::JsonValue* counters = cell.find("counters");
+  for (const JsonValue& cell : results->items) {
+    const JsonValue* params = cell.find("params");
+    const JsonValue* metrics = cell.find("metrics");
+    const JsonValue* counters = cell.find("counters");
     ASSERT_TRUE(params != nullptr && metrics != nullptr && counters != nullptr)
         << cell.find("name")->text;
     for (const char* key : {"layout", "tenants", "quantum", "arrival"}) {

@@ -22,8 +22,8 @@
 #include "sim/icache.h"
 #include "sim/replay.h"
 #include "support/experiment.h"
+#include "support/json_read.h"
 #include "testing/golden_compare.h"
-#include "testing/json_parse.h"
 
 #ifndef STC_VERIFY_TEST_DIR
 #define STC_VERIFY_TEST_DIR "."
@@ -124,23 +124,23 @@ TEST(ReplaySchemaTest, ReportMatchesGoldenFile) {
 // cells adding plan_seconds.
 TEST(ReplaySchemaTest, PerfGateContractHolds) {
   std::string err;
-  const testing::JsonValue report = testing::parse_json(build_report(), &err);
+  const JsonValue report = parse_json(build_report(), &err);
   ASSERT_EQ(err, "");
   EXPECT_EQ(report.find("schema_version")->number, 3.0);
-  const testing::JsonValue* throughput = report.find("throughput");
+  const JsonValue* throughput = report.find("throughput");
   ASSERT_TRUE(throughput != nullptr && throughput->is_object());
   EXPECT_TRUE(throughput->find("events_per_sec") != nullptr);
-  const testing::JsonValue* failures = report.find("failures");
+  const JsonValue* failures = report.find("failures");
   ASSERT_TRUE(failures != nullptr && failures->is_array());
   EXPECT_TRUE(failures->items.empty());
 
-  const testing::JsonValue* results = report.find("results");
+  const JsonValue* results = report.find("results");
   ASSERT_TRUE(results != nullptr && results->is_array());
   ASSERT_EQ(results->items.size(), 12u);
-  for (const testing::JsonValue& cell : results->items) {
-    const testing::JsonValue* params = cell.find("params");
-    const testing::JsonValue* metrics = cell.find("metrics");
-    const testing::JsonValue* counters = cell.find("counters");
+  for (const JsonValue& cell : results->items) {
+    const JsonValue* params = cell.find("params");
+    const JsonValue* metrics = cell.find("metrics");
+    const JsonValue* counters = cell.find("counters");
     ASSERT_TRUE(params != nullptr && metrics != nullptr && counters != nullptr)
         << cell.find("name")->text;
     ASSERT_TRUE(params->find("sim") != nullptr);

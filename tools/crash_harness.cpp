@@ -4,15 +4,12 @@
 // write-boundary fault point it crosses (journal appends, report writes,
 // trace/cache saves), then resume with STC_RESUME=1 and demand a final
 // BENCH_*.json byte-identical to an uninterrupted run, with no leftover
-// fragments, temp files, or journals. Runs as a matrix over unsharded and
-// sharded execution (--shards N puts the kill inside worker processes and
-// exercises the parent's supervision/respawn path as well).
+// temp files or journals.
 //
 // Modes:
 //   crash_harness --child            deterministic 8-cell grid, writes its
-//                                    report and exits (also entered via the
-//                                    sharding re-exec protocol's --shard)
-//   crash_harness [--dir D] [--shards N] [--sample K]
+//                                    report and exits
+//   crash_harness [--dir D] [--sample K]
 //                                    driver: reference run, fault-point
 //                                    discovery via STC_FAULT_DUMP, then one
 //                                    kill-and-resume task per (point, hit);
@@ -21,11 +18,12 @@
 //
 // Exit code 0 when every task resumed byte-identical and litter-free.
 #include <dirent.h>
-#include <fcntl.h>
+#include <signal.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,68 +77,72 @@ bool make_dir(const std::string& path) {
 }
 
 struct RunOutcome {
-  bool ran = false;       // fork/exec machinery worked
+  bool ran = false;       // the shell could start the child
   bool exited = false;    // normal exit (vs signal)
   int exit_code = -1;
   int signal = 0;
 };
 
-// Spawns this binary in --child mode with a controlled STC_* environment.
-// All inherited STC_* knobs are stripped so the harness is hermetic; stdout
-// and stderr go to `log_path` for post-mortem on failure.
-RunOutcome run_grid(const std::string& exe, const std::string& bench_dir,
-                    std::uint32_t shards, const std::string& crash_spec,
-                    bool resume, const std::string& dump_path,
-                    const std::string& log_path) {
-  std::vector<std::string> env_storage;
-  for (char** e = environ; *e != nullptr; ++e) {
-    if (std::strncmp(*e, "STC_", 4) == 0) continue;
-    env_storage.emplace_back(*e);
-  }
-  env_storage.push_back("STC_BENCH_DIR=" + bench_dir);
-  env_storage.push_back("STC_ZERO_TIMINGS=1");
-  env_storage.push_back("STC_THREADS=2");
-  env_storage.push_back("STC_JOB_RETRIES=1");
-  if (shards > 1) {
-    env_storage.push_back("STC_SHARDS=" + std::to_string(shards));
-  }
-  if (!crash_spec.empty()) env_storage.push_back("STC_CRASH=" + crash_spec);
-  if (resume) env_storage.push_back("STC_RESUME=1");
-  if (!dump_path.empty()) {
-    env_storage.push_back("STC_FAULT_DUMP=" + dump_path);
-  }
-  std::vector<char*> envp;
-  envp.reserve(env_storage.size() + 1);
-  for (std::string& entry : env_storage) envp.push_back(entry.data());
-  envp.push_back(nullptr);
-  std::string arg0 = exe;
-  std::string arg1 = "--child";
-  char* argv[] = {arg0.data(), arg1.data(), nullptr};
-
-  RunOutcome outcome;
-  const pid_t pid = ::fork();
-  if (pid < 0) return outcome;
-  if (pid == 0) {
-    const int log = ::open(log_path.c_str(),
-                           O_WRONLY | O_CREAT | O_APPEND, 0666);
-    if (log >= 0) {
-      ::dup2(log, STDOUT_FILENO);
-      ::dup2(log, STDERR_FILENO);
-      ::close(log);
+std::string shell_quote(const std::string& text) {
+  std::string quoted = "'";
+  for (const char c : text) {
+    if (c == '\'') {
+      quoted += "'\\''";
+    } else {
+      quoted += c;
     }
-    ::execve(exe.c_str(), argv, envp.data());
-    _exit(127);
   }
-  int wstatus = 0;
-  pid_t reaped;
-  do {
-    reaped = ::waitpid(pid, &wstatus, 0);
-  } while (reaped < 0 && errno == EINTR);
-  if (reaped != pid) return outcome;
+  return quoted + "'";
+}
+
+// Drops every inherited STC_* knob so the harness is hermetic; run_grid then
+// sets exactly the knobs each child needs. This process has one thread and
+// runs one child at a time, so editing its own environment is safe.
+void strip_stc_environment() {
+  std::vector<std::string> names;
+  for (char** e = environ; *e != nullptr; ++e) {
+    if (std::strncmp(*e, "STC_", 4) != 0) continue;
+    const char* eq = std::strchr(*e, '=');
+    names.emplace_back(*e, eq != nullptr ? eq - *e : std::strlen(*e));
+  }
+  for (const std::string& name : names) ::unsetenv(name.c_str());
+}
+
+void set_knob(const char* name, const std::string& value) {
+  if (value.empty()) {
+    ::unsetenv(name);
+  } else {
+    ::setenv(name, value.c_str(), 1);
+  }
+}
+
+// Runs this binary in --child mode with a controlled STC_* environment;
+// stdout and stderr go to `log_path` for post-mortem on failure. The shell
+// execs the child, so a SIGKILL reaches the caller as the child's own death.
+RunOutcome run_grid(const std::string& exe, const std::string& bench_dir,
+                    const std::string& crash_spec, bool resume,
+                    const std::string& dump_path,
+                    const std::string& log_path) {
+  set_knob("STC_BENCH_DIR", bench_dir);
+  set_knob("STC_ZERO_TIMINGS", "1");
+  set_knob("STC_THREADS", "2");
+  set_knob("STC_JOB_RETRIES", "1");
+  set_knob("STC_CRASH", crash_spec);
+  set_knob("STC_RESUME", resume ? "1" : "");
+  set_knob("STC_FAULT_DUMP", dump_path);
+  const std::string command = "exec " + shell_quote(exe) + " --child >>" +
+                              shell_quote(log_path) + " 2>&1";
+  const int wstatus = std::system(command.c_str());
+  RunOutcome outcome;
+  if (wstatus == -1) return outcome;
   outcome.ran = true;
   if (WIFEXITED(wstatus)) {
     outcome.exited = true;
     outcome.exit_code = WEXITSTATUS(wstatus);
+    // 126/127: the shell could not run the binary at all.
+    if (outcome.exit_code == 126 || outcome.exit_code == 127) {
+      outcome.ran = false;
+    }
   } else if (WIFSIGNALED(wstatus)) {
     outcome.signal = WTERMSIG(wstatus);
   }
@@ -182,8 +184,8 @@ bool read_bytes(const std::string& path, std::string* out) {
   return true;
 }
 
-// Any fragment, temp, or journal file left in `dir` after a successful run
-// is a contract violation.
+// Any temp or journal file left in `dir` after a successful run is a
+// contract violation.
 std::vector<std::string> find_litter(const std::string& dir) {
   std::vector<std::string> litter;
   DIR* d = ::opendir(dir.c_str());
@@ -195,10 +197,7 @@ std::vector<std::string> find_litter(const std::string& dir) {
       return name.size() >= n &&
              name.compare(name.size() - n, n, suffix) == 0;
     };
-    if (ends_with(".tmp") || ends_with(".journal") ||
-        (name.find(".shard") != std::string::npos && ends_with(".json"))) {
-      litter.push_back(name);
-    }
+    if (ends_with(".tmp") || ends_with(".journal")) litter.push_back(name);
   }
   ::closedir(d);
   return litter;
@@ -212,14 +211,13 @@ void dump_log(const std::string& log_path) {
   }
 }
 
-int run_driver(const std::string& exe, std::string dir, std::uint32_t shards,
-               std::size_t sample) {
+int run_driver(const std::string& exe, std::string dir, std::size_t sample) {
   if (dir.empty()) dir = "crash_harness_scratch";
   if (!make_dir(dir)) {
     std::fprintf(stderr, "crash_harness: cannot create '%s'\n", dir.c_str());
     return 1;
   }
-  const char* mode = shards > 1 ? "sharded" : "unsharded";
+  strip_stc_environment();
 
   // Reference: an uninterrupted run, which also records every fault point
   // the workload crosses.
@@ -227,10 +225,10 @@ int run_driver(const std::string& exe, std::string dir, std::uint32_t shards,
   if (!make_dir(ref_dir)) return 1;
   const std::string dump_path = ref_dir + "/faults.dump";
   std::remove(dump_path.c_str());
-  const RunOutcome ref = run_grid(exe, ref_dir, shards, "", false, dump_path,
-                                  ref_dir + "/log.txt");
+  const RunOutcome ref =
+      run_grid(exe, ref_dir, "", false, dump_path, ref_dir + "/log.txt");
   if (!ref.ran || !ref.exited || ref.exit_code != 0) {
-    std::fprintf(stderr, "crash_harness: reference run failed (%s)\n", mode);
+    std::fprintf(stderr, "crash_harness: reference run failed\n");
     dump_log(ref_dir + "/log.txt");
     return 1;
   }
@@ -262,7 +260,7 @@ int run_driver(const std::string& exe, std::string dir, std::uint32_t shards,
     }
     tasks = std::move(picked);
   }
-  std::printf("crash_harness: %s, %zu kill task(s)\n", mode, tasks.size());
+  std::printf("crash_harness: %zu kill task(s)\n", tasks.size());
 
   std::size_t failures = 0;
   std::size_t survived = 0;  // crash point never reached a kill (fine)
@@ -276,21 +274,18 @@ int run_driver(const std::string& exe, std::string dir, std::uint32_t shards,
     std::remove(log_path.c_str());
     const auto fail = [&](const std::string& why) {
       ++failures;
-      std::fprintf(stderr, "FAIL %s [%s]: %s\n", spec.c_str(), mode,
-                   why.c_str());
+      std::fprintf(stderr, "FAIL %s: %s\n", spec.c_str(), why.c_str());
       dump_log(log_path);
     };
 
-    const RunOutcome crash =
-        run_grid(exe, task_dir, shards, spec, false, "", log_path);
+    const RunOutcome crash = run_grid(exe, task_dir, spec, false, "", log_path);
     if (!crash.ran) {
       fail("could not spawn the crash run");
       continue;
     }
     bool need_resume = true;
     if (crash.exited && crash.exit_code == 0) {
-      // A sharded parent can absorb a worker's death (respawn + resume) and
-      // still finish clean; unsharded, the kill always takes the process.
+      // The crash point was never reached a k-th time.
       need_resume = false;
       ++survived;
     } else if (!crash.exited && crash.signal != SIGKILL) {
@@ -304,7 +299,7 @@ int run_driver(const std::string& exe, std::string dir, std::uint32_t shards,
     }
     if (need_resume) {
       const RunOutcome resumed =
-          run_grid(exe, task_dir, shards, "", true, "", log_path);
+          run_grid(exe, task_dir, "", true, "", log_path);
       if (!resumed.ran || !resumed.exited || resumed.exit_code != 0) {
         fail("resume run did not exit cleanly");
         continue;
@@ -340,23 +335,19 @@ int run_driver(const std::string& exe, std::string dir, std::uint32_t shards,
 
 int main(int argc, char** argv) {
   std::string dir;
-  std::uint32_t shards = 1;
   std::size_t sample = 0;
-  bool child = std::getenv("STC_SHARD") != nullptr;
+  bool child = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--child" || arg == "--shard") {
+    if (arg == "--child") {
       child = true;
     } else if (arg == "--dir" && i + 1 < argc) {
       dir = argv[++i];
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<std::uint32_t>(std::atoi(argv[++i]));
     } else if (arg == "--sample" && i + 1 < argc) {
       sample = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr,
-                   "usage: crash_harness [--child] [--dir D] [--shards N] "
-                   "[--sample K]\n");
+                   "usage: crash_harness [--child] [--dir D] [--sample K]\n");
       return 2;
     }
   }
@@ -369,5 +360,5 @@ int main(int argc, char** argv) {
     return 1;
   }
   exe_buffer[n] = '\0';
-  return run_driver(exe_buffer, dir, shards == 0 ? 1 : shards, sample);
+  return run_driver(exe_buffer, dir, sample);
 }
