@@ -395,10 +395,9 @@ const sim::ReplayPlan* plan_for(const trace::BlockTrace& trace,
                                 const cfg::AddressMap& layout,
                                 std::uint32_t line_bytes,
                                 const sim::BackendSpec& backend) {
-  const sim::ReplayMode mode = replay_mode();
-  if (mode == sim::ReplayMode::kInterp) return nullptr;
+  if (replay_mode() == sim::ReplayMode::kInterp) return nullptr;
   static sim::ReplayPlanCache cache;
-  return cache.get(mode, trace, image, layout, line_bytes, backend);
+  return cache.get(trace, image, layout, line_bytes, backend);
 }
 
 const char* to_string(ReplaySimKind kind) {

@@ -20,8 +20,8 @@
 //   STC_JOB_TIMEOUT - per-job deadline in seconds (default 0 = off); an
 //                   overrunning job is recorded as timed_out, not aborted
 //   STC_JOB_RETRIES - extra attempts per failed job (default 1)
-//   STC_REPLAY    - trace replay engine: interp|batched|compiled|auto
-//                   (default auto = compiled). Non-interp modes route every
+//   STC_REPLAY    - trace replay engine: interp|compiled|auto
+//                   (default auto = compiled). Compiled mode routes every
 //                   cell through a pre-built replay plan (src/sim/replay.h);
 //                   counters stay bit-identical to the interpreter (the
 //                   oracle's check_replay_modes proves it, and STC_VERIFY=1
@@ -269,7 +269,7 @@ const backend::BackendParams& backend_params();
 // ---- Replay engine ---------------------------------------------------------
 
 // The process-wide replay mode from STC_REPLAY (read once; "auto" resolves
-// to the fastest oracle-identical engine, currently compiled).
+// to compiled).
 sim::ReplayMode replay_mode();
 
 // A memoized replay plan for the triple under replay_mode(), or nullptr when
@@ -294,7 +294,7 @@ const sim::ReplayPlan* plan_for(const trace::BlockTrace& trace,
 // One timed replay-throughput cell (bench/replay_throughput.cpp and the
 // schema-lock test). Runs the selected simulator over the triple in the
 // requested mode, timing the replay loop ("seconds", "events_per_sec") and —
-// for plan-backed modes — the plan build ("plan_seconds"). The counters are
+// for compiled mode — the plan build ("plan_seconds"). The counters are
 // always cross-checked against an untimed interpreter run; a divergence
 // throws StatusError so the runner records the cell as failed.
 enum class ReplaySimKind { kMissRate, kSequentiality, kSeq3, kTraceCache,

@@ -1,21 +1,20 @@
 // Replay-engine throughput: events/second for every simulator — including
 // the full back-end pipeline ("backend", fixed default-ooo machine) — under
-// the interp, batched and compiled replay engines over the pinned Test
-// trace.
+// the interp and compiled replay engines over the pinned Test trace.
 //
-// Every cell times its own replay loop (and, for plan-backed modes, the
-// plan build) and then re-runs the interpreter untimed to prove the
+// Every cell times its own replay loop (and, for compiled mode, the plan
+// build) and then re-runs the interpreter untimed to prove the
 // counters are bit-identical — a cell that diverges is recorded as a failed
 // job, never as a throughput number. The grid runs on a single worker so
 // the timings are not distorted by sibling cells.
 //
 // tools/perf_gate.py consumes this bench's BENCH_replay_throughput.json:
-// it checks the batched/compiled speedup ratios over interp against
+// it checks the compiled speedup ratios over interp against
 // bench/perf_baseline.json with a tolerance band, failing CI on a >15%
 // throughput regression. Two extra rows cover the multi-tenant composer
 // (src/workload): "compose" replays a composed multi-tenant trace through
-// the miss-rate simulator in all three modes (ratio-gated like any other
-// sim), and "compose_build" times compose() itself — labelled interp so the
+// the miss-rate simulator in both modes (ratio-gated like any other sim),
+// and "compose_build" times compose() itself — labelled interp so the
 // gate records its events/sec without a ratio.
 #include <chrono>
 #include <cstdio>
@@ -43,8 +42,8 @@ int main() {
   const cfg::AddressMap& layout = setup.layout(LayoutKind::kOrig, 0, 0);
 
   const sim::ReplayMode modes[] = {sim::ReplayMode::kInterp,
-                                   sim::ReplayMode::kBatched,
                                    sim::ReplayMode::kCompiled};
+  constexpr std::size_t kNumModes = std::size(modes);
   const bench::ReplaySimKind kinds[] = {bench::ReplaySimKind::kMissRate,
                                         bench::ReplaySimKind::kSequentiality,
                                         bench::ReplaySimKind::kSeq3,
@@ -53,9 +52,9 @@ int main() {
   constexpr std::size_t kNumKinds = std::size(kinds);
 
   // jobs[kind][mode]
-  std::size_t jobs[kNumKinds][3];
+  std::size_t jobs[kNumKinds][kNumModes];
   for (std::size_t k = 0; k < kNumKinds; ++k) {
-    for (std::size_t m = 0; m < 3; ++m) {
+    for (std::size_t m = 0; m < kNumModes; ++m) {
       const bench::ReplaySimKind kind = kinds[k];
       const sim::ReplayMode mode = modes[m];
       jobs[k][m] = runner.add(
@@ -121,8 +120,8 @@ int main() {
         result.counters().add("blocks", r.value().trace.num_events());
         return result;
       });
-  std::size_t compose_jobs[3];
-  for (std::size_t m = 0; m < 3; ++m) {
+  std::size_t compose_jobs[kNumModes];
+  for (std::size_t m = 0; m < kNumModes; ++m) {
     const sim::ReplayMode mode = modes[m];
     compose_jobs[m] = runner.add(
         std::string("compose ") + sim::to_string(mode),
@@ -139,31 +138,22 @@ int main() {
   runner.run(1);
 
   TextTable table;
-  table.header({"simulator", "interp ev/s", "batched ev/s", "compiled ev/s",
-                "batched x", "compiled x"});
+  table.header({"simulator", "interp ev/s", "compiled ev/s", "compiled x"});
+  const auto row = [&](const std::string& name, const std::size_t* cell) {
+    const double interp = runner.metric_or(cell[0], "events_per_sec");
+    const double compiled = runner.metric_or(cell[1], "events_per_sec");
+    table.row({name, fmt_fixed(interp, 0), fmt_fixed(compiled, 0),
+               fmt_fixed(interp > 0 ? compiled / interp : 0.0, 2)});
+  };
   for (std::size_t k = 0; k < kNumKinds; ++k) {
-    const double interp = runner.metric_or(jobs[k][0], "events_per_sec");
-    const double batched = runner.metric_or(jobs[k][1], "events_per_sec");
-    const double compiled = runner.metric_or(jobs[k][2], "events_per_sec");
-    table.row({bench::to_string(kinds[k]), fmt_fixed(interp, 0),
-               fmt_fixed(batched, 0), fmt_fixed(compiled, 0),
-               fmt_fixed(interp > 0 ? batched / interp : 0.0, 2),
-               fmt_fixed(interp > 0 ? compiled / interp : 0.0, 2)});
+    row(bench::to_string(kinds[k]), jobs[k]);
   }
-  {
-    const double interp = runner.metric_or(compose_jobs[0], "events_per_sec");
-    const double batched = runner.metric_or(compose_jobs[1], "events_per_sec");
-    const double compiled = runner.metric_or(compose_jobs[2], "events_per_sec");
-    table.row({"compose (missrate)", fmt_fixed(interp, 0),
-               fmt_fixed(batched, 0), fmt_fixed(compiled, 0),
-               fmt_fixed(interp > 0 ? batched / interp : 0.0, 2),
-               fmt_fixed(interp > 0 ? compiled / interp : 0.0, 2)});
-  }
+  row("compose (missrate)", compose_jobs);
   std::fputs(table.render().c_str(), stdout);
   std::printf(
       "\ncompose() itself: %.0f events/sec over %llu tenants.\n"
-      "Batched replay decodes the trace once into a contiguous slab;\n"
-      "compiled replay additionally pre-resolves per-block line indices.\n",
+      "Compiled replay decodes the trace once into a contiguous slab and\n"
+      "pre-resolves per-block line indices.\n",
       runner.metric_or(build_job, "events_per_sec"),
       static_cast<unsigned long long>(tenants));
 

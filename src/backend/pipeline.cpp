@@ -12,23 +12,21 @@ namespace {
 using sim::FetchPipe;
 
 // Produces the BackendOp for each completed basic block, in trace order.
-// Two modes behind one call: the interpreter path computes latency and
+// Two sources behind one call: the interpreter path computes latency and
 // register names from the shared BackendSpec helpers; the plan path walks
 // the event slab in lockstep with the fetch stream and reads the values
-// from the compiled back-end tables when the plan carries them (batched
-// plans compute, from the same metadata). Identical results by
+// from the plan's compiled back-end tables. Identical results by
 // construction — the DCHECKs pin the lockstep.
 class OpSource {
  public:
   explicit OpSource(const sim::BackendSpec& spec) : spec_(spec) {}
   OpSource(const sim::BackendSpec& spec, const sim::ReplayPlan& plan)
       : spec_(spec), plan_(&plan) {
-    if (plan.backend().valid()) {
-      // The plan cache keys on the spec fingerprint, so a plan with tables
-      // for a different config can only reach here through a caller bug.
-      STC_DCHECK(plan.backend().spec() == spec);
-      use_table_ = true;
-    }
+    STC_CHECK_MSG(plan.backend().valid(),
+                  "back-end replay needs a plan built with the back-end spec");
+    // The plan cache keys on the spec fingerprint, so a plan with tables
+    // for a different config can only reach here through a caller bug.
+    STC_DCHECK(plan.backend().spec() == spec);
   }
 
   BackendOp next(std::uint64_t block_start, std::uint32_t block_insns,
@@ -40,14 +38,12 @@ class OpSource {
       const cfg::BlockId b = plan_->slab()[cursor_++];
       STC_DCHECK(plan_->meta().addr(b) == block_start);
       STC_DCHECK(plan_->meta().insns(b) == block_insns);
-      if (use_table_) {
-        const sim::BackendTable& table = plan_->backend();
-        op.latency = table.latency(b);
-        op.dest = table.dest(b);
-        op.src1 = table.src1(b);
-        op.src2 = table.src2(b);
-        return op;
-      }
+      const sim::BackendTable& table = plan_->backend();
+      op.latency = table.latency(b);
+      op.dest = table.dest(b);
+      op.src1 = table.src1(b);
+      op.src2 = table.src2(b);
+      return op;
     }
     op.latency = sim::backend_op_latency(spec_, block_insns, kind);
     sim::backend_op_regs(block_start, block_insns, &op.dest, &op.src1,
@@ -58,7 +54,6 @@ class OpSource {
  private:
   const sim::BackendSpec spec_;
   const sim::ReplayPlan* plan_ = nullptr;
-  bool use_table_ = false;
   std::size_t cursor_ = 0;
 };
 

@@ -18,8 +18,8 @@
 // Both overloads produce bit-identical counters: the interpreter path
 // computes each op's latency/registers from the shared BackendSpec helpers
 // per event; the plan path reads the same values from the plan's compiled
-// back-end tables (or computes them for batched plans). check_replay_modes
-// proves the identity on every verified run.
+// back-end tables. check_replay_modes proves the identity on every verified
+// run.
 #pragma once
 
 #include "backend/backend.h"
@@ -55,9 +55,9 @@ Result<BackendResult> run_seq3_backend(const trace::BlockTrace& trace,
                                        const BackendParams& backend_params,
                                        sim::ICache* cache);
 
-// Batched/compiled replay from a pre-built plan (sim/replay.h); counters are
-// bit-identical to the interpreter overload. A plan carrying back-end
-// tables must have been built with backend_params.spec() — the
+// Compiled replay from a pre-built plan (sim/replay.h); counters are
+// bit-identical to the interpreter overload. The plan must carry back-end
+// tables (a missing table aborts), built with backend_params.spec() — the
 // ReplayPlanCache keys on the spec fingerprint to guarantee it.
 Result<BackendResult> run_seq3_backend(const sim::ReplayPlan& plan,
                                        const sim::FetchParams& fetch_params,

@@ -109,7 +109,7 @@ FrontEndResult run_seq3_frontend(const trace::BlockTrace& trace,
                                  const FrontEndParams& fe_params,
                                  sim::ICache* cache);
 
-// Batched/compiled replay from a pre-built plan (sim/replay.h); counters are
+// Compiled replay from a pre-built plan (sim/replay.h); counters are
 // bit-identical to the interpreter overload.
 FrontEndResult run_seq3_frontend(const sim::ReplayPlan& plan,
                                  const sim::FetchParams& fetch_params,
@@ -129,7 +129,7 @@ FrontEndResult run_trace_cache_frontend(const trace::BlockTrace& trace,
                                         const FrontEndParams& fe_params,
                                         sim::ICache* cache);
 
-// Batched/compiled replay from a pre-built plan (sim/replay.h); counters are
+// Compiled replay from a pre-built plan (sim/replay.h); counters are
 // bit-identical to the interpreter overload.
 FrontEndResult run_trace_cache_frontend(const sim::ReplayPlan& plan,
                                         const sim::FetchParams& fetch_params,

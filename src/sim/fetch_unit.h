@@ -30,8 +30,8 @@ class ReplayPlan;  // sim/replay.h
 // Two interchangeable backends feed it: the interpreter's BlockRunStream, or
 // a pre-built ReplayPlan whose make_run() materializes the identical
 // BlockRun values from flat tables. Everything downstream of refill() is the
-// same code either way, which is what makes the batched/compiled modes
-// bit-identical to the interpreter by construction.
+// same code either way, which is what makes compiled replay bit-identical
+// to the interpreter by construction.
 class FetchPipe {
  public:
   struct Insn {
@@ -60,7 +60,7 @@ class FetchPipe {
   void refill(std::uint32_t needed_insns);
 
   std::optional<trace::BlockRunStream> stream_;  // interpreter backend
-  const ReplayPlan* plan_ = nullptr;             // batched/compiled backend
+  const ReplayPlan* plan_ = nullptr;             // compiled-plan backend
   std::uint64_t next_event_ = 0;                 // plan cursor
   std::deque<trace::BlockRun> buffer_;
   std::uint32_t front_offset_ = 0;  // instructions consumed of buffer_.front()
@@ -135,7 +135,7 @@ FetchResult run_seq3(const trace::BlockTrace& trace,
                      const cfg::AddressMap& layout, const FetchParams& params,
                      ICache* cache);
 
-// Batched/compiled replay of the same simulation from a pre-built plan
+// Compiled replay of the same simulation from a pre-built plan
 // (sim/replay.h); counters are bit-identical to the interpreter overload.
 FetchResult run_seq3(const ReplayPlan& plan, const FetchParams& params,
                      ICache* cache);

@@ -27,7 +27,6 @@ namespace stc::sim {
 const char* to_string(ReplayMode mode) {
   switch (mode) {
     case ReplayMode::kInterp: return "interp";
-    case ReplayMode::kBatched: return "batched";
     case ReplayMode::kCompiled: return "compiled";
   }
   return "?";
@@ -35,11 +34,10 @@ const char* to_string(ReplayMode mode) {
 
 Result<ReplayMode> parse_replay_mode(const std::string& name) {
   if (name == "interp") return ReplayMode::kInterp;
-  if (name == "batched") return ReplayMode::kBatched;
   if (name == "compiled" || name == "auto") return ReplayMode::kCompiled;
   return invalid_argument_error(
       "STC_REPLAY='" + name +
-      "': expected one of interp|batched|compiled|auto");
+      "': expected one of interp|compiled|auto");
 }
 
 ReplayMode replay_mode_from_env() {
@@ -170,10 +168,9 @@ Result<ReplayPlan> build_replay_plan(ReplayMode mode,
                                      const cfg::AddressMap& layout,
                                      std::uint32_t line_bytes,
                                      const BackendSpec& backend) {
-  STC_REQUIRE(mode != ReplayMode::kInterp);
+  STC_REQUIRE(mode == ReplayMode::kCompiled);
   STC_REQUIRE(slab != nullptr);
   ReplayPlan plan;
-  plan.mode_ = mode;
   plan.slab_ = std::move(slab);
   plan.arena_ = std::make_unique<ReplayArena>();
   plan.meta_.build(image, layout, *plan.arena_);
@@ -182,14 +179,12 @@ Result<ReplayPlan> build_replay_plan(ReplayMode mode,
   STC_CHECK_MSG(plan.slab_->size() == 0 ||
                     plan.slab_->max_id() < plan.meta_.size(),
                 "trace names blocks outside the program image");
-  if (mode == ReplayMode::kCompiled) {
-    if (Status s = plan.compiled_.build(plan.meta_, line_bytes, *plan.arena_);
-        !s.is_ok()) {
-      return s.with_context("compiled replay");
-    }
-    if (backend.enabled) {
-      plan.backend_.build(plan.meta_, backend, *plan.arena_);
-    }
+  if (Status s = plan.compiled_.build(plan.meta_, line_bytes, *plan.arena_);
+      !s.is_ok()) {
+    return s.with_context("compiled replay");
+  }
+  if (backend.enabled) {
+    plan.backend_.build(plan.meta_, backend, *plan.arena_);
   }
   return plan;
 }
@@ -378,14 +373,11 @@ ReplayPlanCache::ReplayPlanCache() {
   disk_dir_ = dir.is_ok() ? dir.value() : std::string();
 }
 
-const ReplayPlan* ReplayPlanCache::get(ReplayMode mode,
-                                       const trace::BlockTrace& trace,
+const ReplayPlan* ReplayPlanCache::get(const trace::BlockTrace& trace,
                                        const cfg::ProgramImage& image,
                                        const cfg::AddressMap& layout,
                                        std::uint32_t line_bytes,
                                        const BackendSpec& backend) {
-  if (mode == ReplayMode::kInterp) return nullptr;
-
   // Content fingerprints (see the class comment): FNV-1a over what each
   // object *says*, so a rebuilt layout at a recycled address never hits a
   // stale entry.
@@ -411,8 +403,8 @@ const ReplayPlan* ReplayPlanCache::get(ReplayMode mode,
   const std::uint64_t trace_fp = trace.content_hash();
 
   std::lock_guard<std::mutex> lock(mu_);
-  const Key key{static_cast<int>(mode), trace_fp, image_fp, layout_fp,
-                line_bytes, backend.fingerprint()};
+  const Key key{trace_fp, image_fp, layout_fp, line_bytes,
+                backend.fingerprint()};
   auto it = plans_.find(key);
   if (it != plans_.end()) return it->second.get();
 
@@ -440,16 +432,15 @@ const ReplayPlan* ReplayPlanCache::get(ReplayMode mode,
     }
   }
   Result<ReplayPlan> plan = [&]() -> Result<ReplayPlan> {
-    if (disk_dir_.empty() || mode != ReplayMode::kCompiled ||
-        line_bytes == 0) {
-      return build_replay_plan(mode, slab, image, layout, line_bytes, backend);
+    if (disk_dir_.empty() || line_bytes == 0) {
+      return build_replay_plan(ReplayMode::kCompiled, slab, image, layout,
+                               line_bytes, backend);
     }
     // Disk path: the key fingerprint names a plan-tables file; adopt it
     // when every specialization parameter matches, rebuild (and persist)
     // otherwise. Fault-injected builds are not persisted — the null plan
     // stays an in-memory fact and the next run retries the build.
     std::uint64_t key_fp = kBasis;
-    key_fp = fnv(key_fp, static_cast<std::uint64_t>(mode));
     key_fp = fnv(key_fp, trace_fp);
     key_fp = fnv(key_fp, image_fp);
     key_fp = fnv(key_fp, layout_fp);
@@ -458,7 +449,6 @@ const ReplayPlan* ReplayPlanCache::get(ReplayMode mode,
     const std::string plan_path =
         disk_dir_ + "/plan_" + hex16(key_fp) + ".stcp";
     ReplayPlan built;
-    built.mode_ = mode;
     built.slab_ = slab;
     built.arena_ = std::make_unique<ReplayArena>();
     built.meta_.build(image, layout, *built.arena_);
@@ -634,13 +624,11 @@ MissRateResult replay_missrate(const ReplayPlan& plan, ICache& cache,
   if (per_block_misses != nullptr) {
     per_block_misses->assign(meta.size(), 0);
   }
-  const CompiledTable* tables =
-      plan.mode() == ReplayMode::kCompiled ? &plan.compiled() : nullptr;
   replay_detail::MissSpanState state;
   replay_detail::missrate_span(plan.slab().data(), plan.slab().size(), meta,
-                               tables, cache.geometry().line_bytes, cache,
-                               per_block_misses, ReplayKernel::kSimd, state,
-                               result);
+                               &plan.compiled(), cache.geometry().line_bytes,
+                               cache, per_block_misses, ReplayKernel::kSimd,
+                               state, result);
   return result;
 }
 

@@ -1,4 +1,4 @@
-// Batched and compiled trace replay.
+// Compiled trace replay.
 //
 // The interpreter path (trace::BlockRunStream and the per-event Cursor) pays
 // a varint decode, two map lookups and a virtual-free-but-branchy state
@@ -10,17 +10,19 @@
 // loops then index flat arrays instead of re-deriving the same answers per
 // event.
 //
-// Three modes, selected with STC_REPLAY (validated in src/support/env):
+// Two modes, selected with STC_REPLAY (validated in src/support/env):
 //   interp   - the original per-event streams; the reference semantics.
-//   batched  - slab + SoA metadata; simulators consume the same BlockRun
-//              values the interpreter would produce, via shared code paths.
-//   compiled - batched, plus per-block cache-line membership (first/last
-//              line index under a fixed line size) and the trace-cache word
-//              index pre-resolved into flat tables keyed by block id, so the
-//              Table 3 inner loop is table lookups plus counter updates.
-//   auto     - the fastest mode (currently compiled).
+//   compiled - slab + SoA metadata, plus per-block cache-line membership
+//              (first/last line index under a fixed line size), the
+//              trace-cache word index and (with an enabled BackendSpec) the
+//              back-end op tables, pre-resolved into flat tables keyed by
+//              block id, so the Table 3 inner loop is table lookups plus
+//              counter updates. The fetch simulators consume the same
+//              BlockRun values the interpreter would produce, via shared
+//              code paths.
+//   auto     - the fastest mode (compiled).
 //
-// Every mode is required to produce counters bit-identical to the
+// Compiled replay is required to produce counters bit-identical to the
 // interpreter; verify::check_replay_modes and the STC_VERIFY=1 bench path
 // prove it on every run, and tools/stc_fuzz --replay-diff hunts for
 // divergences. The compiled-table build runs through faultpoint
@@ -58,7 +60,7 @@
 
 namespace stc::sim {
 
-enum class ReplayMode { kInterp, kBatched, kCompiled };
+enum class ReplayMode { kInterp, kCompiled };
 
 // Inner-loop kernel selection. kSimd takes the 8-wide vector path where the
 // toolchain provides vector extensions (GCC/Clang; define STC_REPLAY_NO_SIMD
@@ -69,8 +71,8 @@ enum class ReplayKernel { kScalar, kSimd };
 
 const char* to_string(ReplayMode mode);
 
-// Maps a validated STC_REPLAY value to a mode ("auto" resolves to the
-// fastest mode). Rejects anything env::replay() would reject.
+// Maps a validated STC_REPLAY value to a mode ("auto" resolves to
+// compiled). Rejects anything env::replay() would reject.
 Result<ReplayMode> parse_replay_mode(const std::string& name);
 
 // The process-wide mode from STC_REPLAY; requires a valid environment
@@ -158,7 +160,7 @@ class EventSlab {
   cfg::BlockId max_id_ = 0;
 };
 
-// Synthetic back-end cost model shared by every replay mode. The back end
+// Synthetic back-end cost model shared by both replay modes. The back end
 // (src/backend) turns each dynamic block into one op whose latency derives
 // from the block's size and event class (call/return ops pay an extra
 // memory-latency charge) and whose register names derive deterministically
@@ -300,12 +302,11 @@ class BackendTable {
   const std::uint8_t* src2_ = nullptr;
 };
 
-// One built replay: a mode, the shared event slab, and the tables for a
-// specific (image, layout, line size). Immutable once built; safe to share
-// across threads.
+// One compiled replay: the shared event slab and the tables for a specific
+// (image, layout, line size, back-end spec). Immutable once built; safe to
+// share across threads.
 class ReplayPlan {
  public:
-  ReplayMode mode() const { return mode_; }
   std::uint64_t num_events() const { return slab_->size(); }
   const EventSlab& slab() const { return *slab_; }
   const BlockMetaTable& meta() const { return meta_; }
@@ -339,7 +340,6 @@ class ReplayPlan {
       std::uint32_t line_bytes, const BackendSpec& backend);
   friend class ReplayPlanCache;  // the disk-load path adopts tables directly
 
-  ReplayMode mode_ = ReplayMode::kBatched;
   std::shared_ptr<const EventSlab> slab_;
   std::unique_ptr<ReplayArena> arena_;  // stable storage behind the tables
   BlockMetaTable meta_;
@@ -347,11 +347,11 @@ class ReplayPlan {
   BackendTable backend_;
 };
 
-// Builds a plan for `mode` (kBatched or kCompiled). `line_bytes` is the
+// Builds a compiled plan; `mode` must be kCompiled. `line_bytes` is the
 // cache-line size the compiled tables specialize for; 0 skips the line
 // tables (layout-only plans, e.g. sequentiality). An enabled `backend`
-// spec additionally bakes the back-end op tables into compiled plans. The
-// slab may be shared between plans over the same trace.
+// spec additionally bakes the back-end op tables into the plan. The slab
+// may be shared between plans over the same trace.
 Result<ReplayPlan> build_replay_plan(ReplayMode mode,
                                      std::shared_ptr<const EventSlab> slab,
                                      const cfg::ProgramImage& image,
@@ -365,14 +365,14 @@ Result<ReplayPlan> build_replay_plan(ReplayMode mode,
                                      std::uint32_t line_bytes,
                                      const BackendSpec& backend = {});
 
-// Memoizes slabs per trace and plans per (mode, trace, image, layout, line
-// size) — the bench grids evaluate many cells over few distinct layouts.
+// Memoizes slabs per trace and plans per (trace, image, layout, line size,
+// back-end spec) — the bench grids evaluate many cells over few distinct layouts.
 // Keys are CONTENT fingerprints, not object addresses: benches rebuild
 // traces, images and layouts per cell, and the allocator happily recycles a
 // dead layout's address for the next one — a pointer key would then serve a
-// plan built for different code. Returns nullptr for kInterp and for a
-// failed compiled build (fault injection); callers then take the
-// interpreter path. Thread-safe.
+// plan built for different code. Returns nullptr for a failed compiled
+// build (fault injection); callers then take the interpreter path.
+// Thread-safe.
 class ReplayPlanCache {
  public:
   // Reads STC_PLAN_CACHE_DIR once at construction. When set, decoded event
@@ -384,7 +384,7 @@ class ReplayPlanCache {
   // can slow a run down but never change its counters.
   ReplayPlanCache();
 
-  const ReplayPlan* get(ReplayMode mode, const trace::BlockTrace& trace,
+  const ReplayPlan* get(const trace::BlockTrace& trace,
                         const cfg::ProgramImage& image,
                         const cfg::AddressMap& layout,
                         std::uint32_t line_bytes,
@@ -394,7 +394,7 @@ class ReplayPlanCache {
   // The trailing uint64 is BackendSpec::fingerprint(): plans carrying
   // back-end tables bake the spec's latencies in, so two configs sharing a
   // (trace, image, layout, line) cell must still get distinct plans.
-  using Key = std::tuple<int, std::uint64_t, std::uint64_t, std::uint64_t,
+  using Key = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
                          std::uint32_t, std::uint64_t>;
   std::mutex mu_;
   std::map<std::uint64_t, std::shared_ptr<const EventSlab>> slabs_;
@@ -422,7 +422,7 @@ struct SeqSpanState {
 };
 
 // `tables` may be null (or built for a different line size); the kernel
-// then derives line bounds from `meta` exactly like the batched loop.
+// then derives line bounds from `meta` exactly like the interpreter.
 void missrate_span(const cfg::BlockId* events, std::size_t n,
                    const BlockMetaTable& meta, const CompiledTable* tables,
                    std::uint32_t line_bytes, ICache& cache,
@@ -435,7 +435,7 @@ void sequentiality_span(const cfg::BlockId* events, std::size_t n,
 
 }  // namespace replay_detail
 
-// Batched/compiled equivalents of run_missrate and measure_sequentiality
+// Compiled equivalents of run_missrate and measure_sequentiality
 // (the fetch-unit and trace-cache plan overloads live next to their
 // interpreter versions in fetch_unit.h / trace_cache.h / front_end.h).
 MissRateResult replay_missrate(const ReplayPlan& plan, ICache& cache,

@@ -82,7 +82,7 @@ FetchResult run_trace_cache(const trace::BlockTrace& trace,
                             const FetchParams& params,
                             const TraceCacheParams& tc_params, ICache* cache);
 
-// Batched/compiled replay from a pre-built plan (sim/replay.h); counters are
+// Compiled replay from a pre-built plan (sim/replay.h); counters are
 // bit-identical to the interpreter overload.
 FetchResult run_trace_cache(const ReplayPlan& plan, const FetchParams& params,
                             const TraceCacheParams& tc_params, ICache* cache);

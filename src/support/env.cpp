@@ -133,11 +133,11 @@ Result<std::string> replay() {
   const char* value = std::getenv("STC_REPLAY");
   if (value == nullptr) return std::string("auto");
   const std::string v(value);
-  for (const char* name : {"interp", "batched", "compiled", "auto"}) {
+  for (const char* name : {"interp", "compiled", "auto"}) {
     if (v == name) return v;
   }
   return invalid_argument_error(
-      "STC_REPLAY='" + v + "': expected one of interp|batched|compiled|auto");
+      "STC_REPLAY='" + v + "': expected one of interp|compiled|auto");
 }
 
 Result<std::string> backend() {

@@ -46,9 +46,9 @@ Result<std::string> bpred();
 // (0 disables prefetching). Default 8.
 Result<std::uint32_t> ftq_depth();
 
-// STC_REPLAY: trace replay engine; one of interp|batched|compiled|auto.
-// Default "auto" (the fastest mode whose output is oracle-identical to the
-// interpreter — currently compiled). See src/sim/replay.h.
+// STC_REPLAY: trace replay engine; one of interp|compiled|auto.
+// Default "auto" (compiled, whose output is oracle-identical to the
+// interpreter). See src/sim/replay.h.
 Result<std::string> replay();
 
 // STC_BACKEND: execution back end behind the front end; one of

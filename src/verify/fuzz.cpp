@@ -448,8 +448,8 @@ Report run_multitenant_diff(const FuzzCase& c) {
     }
   }
 
-  // The composed trace must replay bit-identically across all three
-  // engines, like any recorded trace.
+  // The composed trace must replay bit-identically across both engines,
+  // like any recorded trace.
   for (core::LayoutKind kind :
        {core::LayoutKind::kOrig, core::LayoutKind::kStcOps}) {
     cfg::AddressMap layout =

@@ -987,91 +987,89 @@ Report check_replay_modes(const trace::BlockTrace& trace,
     }
   }
 
-  for (const sim::ReplayMode mode :
-       {sim::ReplayMode::kBatched, sim::ReplayMode::kCompiled}) {
-    Result<sim::ReplayPlan> built = sim::build_replay_plan(
-        mode, trace, image, layout, geometry.line_bytes, bp.spec());
-    const std::string m = sim::to_string(mode);
-    if (!built.is_ok()) {
-      report.fail(m + ": plan build failed: " + built.status().to_string());
-      continue;
+  Result<sim::ReplayPlan> built =
+      sim::build_replay_plan(sim::ReplayMode::kCompiled, trace, image, layout,
+                             geometry.line_bytes, bp.spec());
+  const std::string m = "compiled";
+  if (!built.is_ok()) {
+    report.fail(m + ": plan build failed: " + built.status().to_string());
+    return report;
+  }
+  const sim::ReplayPlan& plan = built.value();
+  ModeCounters got;
+  {
+    sim::ICache cache(geometry);
+    sim::replay_missrate(plan, cache, &got.per_block)
+        .export_counters(got.miss);
+    cache.stats().export_counters(got.miss);
+  }
+  sim::replay_sequentiality(plan).export_counters(got.seq);
+  {
+    sim::ICache cache(geometry);
+    sim::run_seq3(plan, fparams, &cache).export_counters(got.seq3);
+    cache.stats().export_counters(got.seq3);
+  }
+  {
+    sim::ICache cache(geometry);
+    sim::run_trace_cache(plan, fparams, tc_params, &cache)
+        .export_counters(got.tc);
+    cache.stats().export_counters(got.tc);
+  }
+  {
+    sim::ICache cache(geometry);
+    const frontend::FrontEndResult r =
+        frontend::run_seq3_frontend(plan, fparams, fe, &cache);
+    r.fetch.export_counters(got.fe_seq3);
+    r.frontend.export_counters(got.fe_seq3);
+    cache.stats().export_counters(got.fe_seq3);
+  }
+  {
+    sim::ICache cache(geometry);
+    const frontend::FrontEndResult r =
+        frontend::run_trace_cache_frontend(plan, fparams, tc_params, fe,
+                                           &cache);
+    r.fetch.export_counters(got.fe_tc);
+    r.frontend.export_counters(got.fe_tc);
+    cache.stats().export_counters(got.fe_tc);
+  }
+  {
+    sim::ICache cache(geometry);
+    const Result<backend::BackendResult> r =
+        backend::run_seq3_backend(plan, fparams, fe, bp, &cache);
+    if (!r.is_ok()) {
+      report.fail("backend[" + m + "]: " + r.status().to_string());
+    } else {
+      r.value().fetch.export_counters(got.be);
+      r.value().frontend.export_counters(got.be);
+      r.value().backend.export_counters(got.be);
+      cache.stats().export_counters(got.be);
     }
-    const sim::ReplayPlan& plan = built.value();
-    ModeCounters got;
-    {
-      sim::ICache cache(geometry);
-      sim::replay_missrate(plan, cache, &got.per_block)
-          .export_counters(got.miss);
-      cache.stats().export_counters(got.miss);
-    }
-    sim::replay_sequentiality(plan).export_counters(got.seq);
-    {
-      sim::ICache cache(geometry);
-      sim::run_seq3(plan, fparams, &cache).export_counters(got.seq3);
-      cache.stats().export_counters(got.seq3);
-    }
-    {
-      sim::ICache cache(geometry);
-      sim::run_trace_cache(plan, fparams, tc_params, &cache)
-          .export_counters(got.tc);
-      cache.stats().export_counters(got.tc);
-    }
-    {
-      sim::ICache cache(geometry);
-      const frontend::FrontEndResult r =
-          frontend::run_seq3_frontend(plan, fparams, fe, &cache);
-      r.fetch.export_counters(got.fe_seq3);
-      r.frontend.export_counters(got.fe_seq3);
-      cache.stats().export_counters(got.fe_seq3);
-    }
-    {
-      sim::ICache cache(geometry);
-      const frontend::FrontEndResult r =
-          frontend::run_trace_cache_frontend(plan, fparams, tc_params, fe,
-                                             &cache);
-      r.fetch.export_counters(got.fe_tc);
-      r.frontend.export_counters(got.fe_tc);
-      cache.stats().export_counters(got.fe_tc);
-    }
-    {
-      sim::ICache cache(geometry);
-      const Result<backend::BackendResult> r =
-          backend::run_seq3_backend(plan, fparams, fe, bp, &cache);
-      if (!r.is_ok()) {
-        report.fail("backend[" + m + "]: " + r.status().to_string());
-      } else {
-        r.value().fetch.export_counters(got.be);
-        r.value().frontend.export_counters(got.be);
-        r.value().backend.export_counters(got.be);
-        cache.stats().export_counters(got.be);
-      }
-    }
+  }
 
-    report.merge(check_counters_equal(interp.miss, got.miss,
-                                      "missrate[" + m + "]"));
-    report.merge(check_counters_equal(interp.seq, got.seq,
-                                      "sequentiality[" + m + "]"));
-    report.merge(check_counters_equal(interp.seq3, got.seq3,
-                                      "seq3[" + m + "]"));
-    report.merge(check_counters_equal(interp.tc, got.tc,
-                                      "trace_cache[" + m + "]"));
-    report.merge(check_counters_equal(interp.fe_seq3, got.fe_seq3,
-                                      "seq3+frontend[" + m + "]"));
-    report.merge(check_counters_equal(interp.fe_tc, got.fe_tc,
-                                      "trace_cache+frontend[" + m + "]"));
-    report.merge(check_counters_equal(interp.be, got.be,
-                                      "backend[" + m + "]"));
-    if (got.per_block != interp.per_block) {
-      std::size_t where = 0;
-      while (where < interp.per_block.size() &&
-             where < got.per_block.size() &&
-             interp.per_block[where] == got.per_block[where]) {
-        ++where;
-      }
-      report.fail("missrate[" + m +
-                  "]: per-block miss attribution diverges at " +
-                  block_ref(image, static_cast<BlockId>(where)));
+  report.merge(check_counters_equal(interp.miss, got.miss,
+                                    "missrate[" + m + "]"));
+  report.merge(check_counters_equal(interp.seq, got.seq,
+                                    "sequentiality[" + m + "]"));
+  report.merge(check_counters_equal(interp.seq3, got.seq3,
+                                    "seq3[" + m + "]"));
+  report.merge(check_counters_equal(interp.tc, got.tc,
+                                    "trace_cache[" + m + "]"));
+  report.merge(check_counters_equal(interp.fe_seq3, got.fe_seq3,
+                                    "seq3+frontend[" + m + "]"));
+  report.merge(check_counters_equal(interp.fe_tc, got.fe_tc,
+                                    "trace_cache+frontend[" + m + "]"));
+  report.merge(check_counters_equal(interp.be, got.be,
+                                    "backend[" + m + "]"));
+  if (got.per_block != interp.per_block) {
+    std::size_t where = 0;
+    while (where < interp.per_block.size() &&
+           where < got.per_block.size() &&
+           interp.per_block[where] == got.per_block[where]) {
+      ++where;
     }
+    report.fail("missrate[" + m +
+                "]: per-block miss attribution diverges at " +
+                block_ref(image, static_cast<BlockId>(where)));
   }
   return report;
 }

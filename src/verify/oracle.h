@@ -176,10 +176,10 @@ backend::BackendParams replay_diff_backend();
 
 // Runs every simulator — miss rate (with per-block attribution),
 // sequentiality, SEQ.3, trace cache, the speculative front end, and the
-// back-end pipeline — in the interp, batched and compiled replay modes
-// (sim/replay.h) and requires the counters to be bit-identical across
-// modes. The interpreter is the reference; any divergence is a
-// replay-engine bug. `backend_params` overrides the back-end configuration
+// back-end pipeline — in the interp and compiled replay modes
+// (sim/replay.h) and requires the counters to be bit-identical across the
+// two. The interpreter is the reference; any divergence is a replay-engine
+// bug. `backend_params` overrides the back-end configuration
 // (replay_diff_backend() when null); the interp back-end run additionally
 // passes check_backend_result.
 Report check_replay_modes(const trace::BlockTrace& trace,

@@ -1,7 +1,7 @@
 // Property tests for the unified fetch->IPC pipeline: the oracle's counter
 // identities hold over random machines and programs, the window bounds are
 // never exceeded, the machine always drains, results are deterministic
-// under repetition and thread-level concurrency, the three replay engines
+// under repetition and thread-level concurrency, the two replay engines
 // are bit-identical, and the degenerate program families from
 // tests/testing/synthetic.h do not wedge the pipeline.
 #include <thread>
@@ -203,30 +203,46 @@ TEST(BackendPropertyTest, ReplayEnginesAreBitIdentical) {
     const BackendParams bp = random_params(rng);
     const frontend::FrontEndParams fe = random_frontend(rng);
     const CounterSet reference = run_counters(trace, *image, layout, fe, bp);
-    for (const sim::ReplayMode mode :
-         {sim::ReplayMode::kBatched, sim::ReplayMode::kCompiled}) {
-      const Result<sim::ReplayPlan> plan = sim::build_replay_plan(
-          mode, trace, *image, layout, kGeometry.line_bytes, bp.spec());
-      ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
-      // Compiled plans embed the back-end tables; batched plans recompute.
-      EXPECT_EQ(plan.value().backend().valid(),
-                mode == sim::ReplayMode::kCompiled);
-      sim::ICache cache(kGeometry);
-      const Result<BackendResult> r = run_seq3_backend(
-          plan.value(), sim::FetchParams{}, fe, bp, &cache);
-      ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-      CounterSet got;
-      r.value().fetch.export_counters(got);
-      r.value().frontend.export_counters(got);
-      r.value().backend.export_counters(got);
-      cache.stats().export_counters(got);
-      const verify::Report report = verify::check_counters_equal(
-          reference, got, sim::to_string(mode));
-      EXPECT_TRUE(report.ok()) << "trial " << trial << " "
-                               << sim::to_string(mode) << ": "
-                               << report.summary();
-    }
+    const Result<sim::ReplayPlan> plan = sim::build_replay_plan(
+        sim::ReplayMode::kCompiled, trace, *image, layout,
+        kGeometry.line_bytes, bp.spec());
+    ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+    // A plan built with an enabled spec embeds the back-end tables.
+    EXPECT_TRUE(plan.value().backend().valid());
+    sim::ICache cache(kGeometry);
+    const Result<BackendResult> r = run_seq3_backend(
+        plan.value(), sim::FetchParams{}, fe, bp, &cache);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    CounterSet got;
+    r.value().fetch.export_counters(got);
+    r.value().frontend.export_counters(got);
+    r.value().backend.export_counters(got);
+    cache.stats().export_counters(got);
+    const verify::Report report =
+        verify::check_counters_equal(reference, got, "compiled");
+    EXPECT_TRUE(report.ok()) << "trial " << trial << ": " << report.summary();
   }
+}
+
+// The plan path reads op costs only from the plan's back-end table, so a
+// plan built without the back-end spec is a caller bug: it aborts instead
+// of replaying with costs the plan does not carry.
+TEST(BackendPropertyDeathTest, PlanWithoutBackendTableAborts) {
+  Rng rng(29);
+  const auto image = random_image(rng, 4);
+  const auto trace = random_trace(*image, rng, 50);
+  const auto layout = cfg::AddressMap::original(*image);
+  const Result<sim::ReplayPlan> plan =
+      sim::build_replay_plan(sim::ReplayMode::kCompiled, trace, *image,
+                             layout, kGeometry.line_bytes);
+  ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+  ASSERT_FALSE(plan.value().backend().valid());
+  BackendParams bp;
+  bp.kind = BackendKind::kOoo;
+  sim::ICache cache(kGeometry);
+  EXPECT_DEATH((void)run_seq3_backend(plan.value(), sim::FetchParams{},
+                                      frontend::FrontEndParams{}, bp, &cache),
+               "back-end replay needs a plan built with the back-end spec");
 }
 
 TEST(BackendPropertyTest, DegenerateFamiliesDoNotWedgeThePipeline) {

@@ -1,11 +1,11 @@
-// Replay-mode equivalence: the batched and compiled replay engines
-// (sim/replay.h) must reproduce the interpreter bit for bit — every
-// simulator counter, every cache statistic, every speculative-front-end
-// cycle count — on every synthetic program family, every degenerate family
-// and every layout kind. The parameterized suites drive the oracle's
-// check_replay_modes (six simulators per triple); the direct tests assert a
-// few headline counters explicitly, and the corpus tests replay the fuzz
-// regression shapes through run_replay_diff.
+// Replay-mode equivalence: the compiled replay engine (sim/replay.h) must
+// reproduce the interpreter bit for bit — every simulator counter, every
+// cache statistic, every speculative-front-end cycle count — on every
+// synthetic program family, every degenerate family and every layout kind.
+// The parameterized suites drive the oracle's check_replay_modes (six
+// simulators per triple); the direct tests assert a few headline counters
+// explicitly, and the corpus tests replay the fuzz regression shapes
+// through run_replay_diff.
 #include <gtest/gtest.h>
 
 #include "core/layouts.h"
@@ -116,44 +116,40 @@ TEST(ReplayModesDirect, HeadlineCountersMatchInterp) {
   const frontend::FrontEndResult interp_fe = frontend::run_seq3_frontend(
       trace, *image, layout, params, fe, &interp_fe_cache);
 
-  for (const ReplayMode mode :
-       {ReplayMode::kBatched, ReplayMode::kCompiled}) {
-    SCOPED_TRACE(to_string(mode));
-    Result<ReplayPlan> plan =
-        build_replay_plan(mode, trace, *image, layout, geometry.line_bytes);
-    ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+  Result<ReplayPlan> plan = build_replay_plan(
+      ReplayMode::kCompiled, trace, *image, layout, geometry.line_bytes);
+  ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
 
-    ICache miss_cache(geometry);
-    const MissRateResult miss = replay_missrate(plan.value(), miss_cache);
-    EXPECT_EQ(miss.instructions, interp_miss.instructions);
-    EXPECT_EQ(miss.misses, interp_miss.misses);
-    EXPECT_EQ(miss.line_accesses, interp_miss.line_accesses);
-    EXPECT_EQ(miss_cache.stats().misses, interp_cache.stats().misses);
+  ICache miss_cache(geometry);
+  const MissRateResult miss = replay_missrate(plan.value(), miss_cache);
+  EXPECT_EQ(miss.instructions, interp_miss.instructions);
+  EXPECT_EQ(miss.misses, interp_miss.misses);
+  EXPECT_EQ(miss.line_accesses, interp_miss.line_accesses);
+  EXPECT_EQ(miss_cache.stats().misses, interp_cache.stats().misses);
 
-    ICache seq3_cache(geometry);
-    const FetchResult seq3 = run_seq3(plan.value(), params, &seq3_cache);
-    EXPECT_EQ(seq3.instructions, interp_seq3.instructions);
-    EXPECT_EQ(seq3.cycles, interp_seq3.cycles);
-    EXPECT_EQ(seq3.fetch_requests, interp_seq3.fetch_requests);
-    EXPECT_EQ(seq3_cache.stats().misses, interp_seq3_cache.stats().misses);
+  ICache seq3_cache(geometry);
+  const FetchResult seq3 = run_seq3(plan.value(), params, &seq3_cache);
+  EXPECT_EQ(seq3.instructions, interp_seq3.instructions);
+  EXPECT_EQ(seq3.cycles, interp_seq3.cycles);
+  EXPECT_EQ(seq3.fetch_requests, interp_seq3.fetch_requests);
+  EXPECT_EQ(seq3_cache.stats().misses, interp_seq3_cache.stats().misses);
 
-    ICache tc_cache(geometry);
-    const FetchResult tc =
-        run_trace_cache(plan.value(), params, tc_params, &tc_cache);
-    EXPECT_EQ(tc.cycles, interp_tc.cycles);
-    EXPECT_EQ(tc.tc_hits, interp_tc.tc_hits);
-    EXPECT_EQ(tc.tc_misses, interp_tc.tc_misses);
-    EXPECT_EQ(tc.tc_fills, interp_tc.tc_fills);
+  ICache tc_cache(geometry);
+  const FetchResult tc =
+      run_trace_cache(plan.value(), params, tc_params, &tc_cache);
+  EXPECT_EQ(tc.cycles, interp_tc.cycles);
+  EXPECT_EQ(tc.tc_hits, interp_tc.tc_hits);
+  EXPECT_EQ(tc.tc_misses, interp_tc.tc_misses);
+  EXPECT_EQ(tc.tc_fills, interp_tc.tc_fills);
 
-    ICache fe_cache(geometry);
-    const frontend::FrontEndResult fe_result =
-        frontend::run_seq3_frontend(plan.value(), params, fe, &fe_cache);
-    EXPECT_EQ(fe_result.fetch.cycles, interp_fe.fetch.cycles);
-    EXPECT_EQ(fe_result.frontend.bp_mispredicts,
-              interp_fe.frontend.bp_mispredicts);
-    EXPECT_EQ(fe_result.frontend.prefetch_issued,
-              interp_fe.frontend.prefetch_issued);
-  }
+  ICache fe_cache(geometry);
+  const frontend::FrontEndResult fe_result =
+      frontend::run_seq3_frontend(plan.value(), params, fe, &fe_cache);
+  EXPECT_EQ(fe_result.fetch.cycles, interp_fe.fetch.cycles);
+  EXPECT_EQ(fe_result.frontend.bp_mispredicts,
+            interp_fe.frontend.bp_mispredicts);
+  EXPECT_EQ(fe_result.frontend.prefetch_issued,
+            interp_fe.frontend.prefetch_issued);
 }
 
 // A compiled plan built with one line size must still serve a simulator run

@@ -153,12 +153,16 @@ TEST(ReplayArenaTest, ResetKeepsSlabsAndReusesMemory) {
 
 TEST(ReplayModeParseTest, AcceptsEveryKnobValueAndRejectsGarbage) {
   EXPECT_EQ(parse_replay_mode("interp").value(), ReplayMode::kInterp);
-  EXPECT_EQ(parse_replay_mode("batched").value(), ReplayMode::kBatched);
   EXPECT_EQ(parse_replay_mode("compiled").value(), ReplayMode::kCompiled);
   EXPECT_EQ(parse_replay_mode("auto").value(), ReplayMode::kCompiled);
   EXPECT_FALSE(parse_replay_mode("").is_ok());
   EXPECT_FALSE(parse_replay_mode("Interp").is_ok());
   EXPECT_FALSE(parse_replay_mode("compiled ").is_ok());
+  const Result<ReplayMode> batched = parse_replay_mode("batched");
+  ASSERT_FALSE(batched.is_ok());
+  EXPECT_NE(batched.status().message().find("interp|compiled|auto"),
+            std::string::npos)
+      << batched.status().to_string();
 }
 
 // Compiled-table construction is pure: plans built concurrently from many
@@ -223,23 +227,20 @@ TEST(ReplayPlanCacheTest, KeysOnContentNotAddress) {
   cfg::AddressMap layout = cfg::AddressMap::original(*image);
 
   ReplayPlanCache cache;
-  const ReplayPlan* before =
-      cache.get(ReplayMode::kCompiled, trace, *image, layout, 32);
+  const ReplayPlan* before = cache.get(trace, *image, layout, 32);
   ASSERT_NE(before, nullptr);
   const std::uint64_t addr0 = before->meta().addr(0);
 
   // Identical content at a different address must hit the same entry.
   const cfg::AddressMap copy = layout;
-  EXPECT_EQ(cache.get(ReplayMode::kCompiled, trace, *image, copy, 32),
-            before);
+  EXPECT_EQ(cache.get(trace, *image, copy, 32), before);
 
   // Same address, shifted content: must be a fresh plan with the shifted
   // addresses, not the memoized stale one.
   for (cfg::BlockId b = 0; b < layout.size(); ++b) {
     layout.set(b, layout.addr(b) + 1024);
   }
-  const ReplayPlan* after =
-      cache.get(ReplayMode::kCompiled, trace, *image, layout, 32);
+  const ReplayPlan* after = cache.get(trace, *image, layout, 32);
   ASSERT_NE(after, nullptr);
   EXPECT_NE(after, before);
   EXPECT_EQ(after->meta().addr(0), addr0 + 1024);
@@ -261,12 +262,9 @@ TEST(ReplayPlanCacheTest, KeysOnBackendSpec) {
   spec_b.mem_latency += 2;
 
   ReplayPlanCache cache;
-  const ReplayPlan* none =
-      cache.get(ReplayMode::kCompiled, trace, *image, layout, 32);
-  const ReplayPlan* a =
-      cache.get(ReplayMode::kCompiled, trace, *image, layout, 32, spec_a);
-  const ReplayPlan* b =
-      cache.get(ReplayMode::kCompiled, trace, *image, layout, 32, spec_b);
+  const ReplayPlan* none = cache.get(trace, *image, layout, 32);
+  const ReplayPlan* a = cache.get(trace, *image, layout, 32, spec_a);
+  const ReplayPlan* b = cache.get(trace, *image, layout, 32, spec_b);
   ASSERT_NE(none, nullptr);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
@@ -278,10 +276,8 @@ TEST(ReplayPlanCacheTest, KeysOnBackendSpec) {
   EXPECT_EQ(a->backend().spec(), spec_a);
   EXPECT_EQ(b->backend().spec(), spec_b);
   // Repeat lookups hit their memoized entries.
-  EXPECT_EQ(cache.get(ReplayMode::kCompiled, trace, *image, layout, 32,
-                      spec_a),
-            a);
-  EXPECT_EQ(cache.get(ReplayMode::kCompiled, trace, *image, layout, 32), none);
+  EXPECT_EQ(cache.get(trace, *image, layout, 32, spec_a), a);
+  EXPECT_EQ(cache.get(trace, *image, layout, 32), none);
 }
 
 // The compiled back-end tables agree entry for entry with the shared cost
@@ -317,25 +313,6 @@ TEST(CompiledTableTest, BackendTableMatchesCostHelpers) {
   }
 }
 
-// Batched plans never carry back-end tables (the batched runner recomputes
-// from the spec per event), with or without a spec in the build call.
-TEST(CompiledTableTest, BatchedPlansCarryNoBackendTable) {
-  Rng rng(9090);
-  const auto image = testing::random_image(rng, 6);
-  const trace::BlockTrace trace = testing::random_trace(*image, rng, 200);
-  const cfg::AddressMap layout = cfg::AddressMap::original(*image);
-  BackendSpec spec;
-  spec.enabled = true;
-  Result<ReplayPlan> with_spec = build_replay_plan(
-      ReplayMode::kBatched, trace, *image, layout, 32, spec);
-  ASSERT_TRUE(with_spec.is_ok());
-  EXPECT_FALSE(with_spec.value().backend().valid());
-  Result<ReplayPlan> without = build_replay_plan(ReplayMode::kBatched, trace,
-                                                 *image, layout, 32);
-  ASSERT_TRUE(without.is_ok());
-  EXPECT_FALSE(without.value().backend().valid());
-}
-
 // Faultpoint replay.compile: a failed compiled-table build surfaces as a
 // structured error from build_replay_plan, and the plan cache converts it
 // into a clean interpreter fallback (nullptr), memoized.
@@ -357,20 +334,10 @@ TEST(ReplayFaultTest, CompileFaultFallsBackToInterp) {
   fault::reset();
   fault::arm("replay.compile", 1);
   ReplayPlanCache cache;
-  EXPECT_EQ(cache.get(ReplayMode::kCompiled, trace, *image, layout, 32),
-            nullptr);
+  EXPECT_EQ(cache.get(trace, *image, layout, 32), nullptr);
   // The fallback is memoized: the next lookup must not rebuild (the fault
   // fired once; a rebuild would now succeed and flip the answer mid-run).
-  EXPECT_EQ(cache.get(ReplayMode::kCompiled, trace, *image, layout, 32),
-            nullptr);
-  fault::reset();
-
-  // Batched plans skip the compiled build entirely: same armed fault, no
-  // failure.
-  fault::arm("replay.compile", 1);
-  Result<ReplayPlan> batched =
-      build_replay_plan(ReplayMode::kBatched, trace, *image, layout, 32);
-  EXPECT_TRUE(batched.is_ok());
+  EXPECT_EQ(cache.get(trace, *image, layout, 32), nullptr);
   fault::reset();
 }
 

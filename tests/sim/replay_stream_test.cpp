@@ -240,8 +240,8 @@ class PlanCacheDiskTest : public ReplayStreamTest {
   }
 
   MissRateResult replay_via_cache(ReplayPlanCache& cache_obj) {
-    const ReplayPlan* plan = cache_obj.get(ReplayMode::kCompiled, trace_,
-                                           *image_, layout_, kLineBytes);
+    const ReplayPlan* plan =
+        cache_obj.get(trace_, *image_, layout_, kLineBytes);
     EXPECT_NE(plan, nullptr);
     ICache cache(geometry());
     return replay_missrate(*plan, cache);
@@ -287,10 +287,8 @@ TEST_F(PlanCacheDiskTest, CorruptCacheFileIsSilentlyRebuilt) {
 
 TEST_F(PlanCacheDiskTest, DistinctLineSizesGetDistinctPlans) {
   ReplayPlanCache cache_obj;
-  const ReplayPlan* a = cache_obj.get(ReplayMode::kCompiled, trace_, *image_,
-                                      layout_, 32);
-  const ReplayPlan* b = cache_obj.get(ReplayMode::kCompiled, trace_, *image_,
-                                      layout_, 64);
+  const ReplayPlan* a = cache_obj.get(trace_, *image_, layout_, 32);
+  const ReplayPlan* b = cache_obj.get(trace_, *image_, layout_, 64);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_NE(a, b);

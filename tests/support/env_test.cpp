@@ -147,15 +147,15 @@ TEST(EnvTest, ReplayNamesTheAcceptedSet) {
     ScopedEnv guard("STC_REPLAY", nullptr);
     EXPECT_EQ(replay().value(), "auto");  // unset → engine picks
   }
-  for (const char* good : {"interp", "batched", "compiled", "auto"}) {
+  for (const char* good : {"interp", "compiled", "auto"}) {
     ScopedEnv guard("STC_REPLAY", good);
     EXPECT_EQ(replay().value(), good);
   }
-  for (const char* bad : {"jit", "Interp", "compiled ", ""}) {
+  for (const char* bad : {"jit", "Interp", "compiled ", "", "batched"}) {
     ScopedEnv guard("STC_REPLAY", bad);
     const auto r = replay();
     expect_knob_error(r, "STC_REPLAY", bad);
-    EXPECT_NE(r.status().message().find("interp|batched|compiled|auto"),
+    EXPECT_NE(r.status().message().find("interp|compiled|auto"),
               std::string::npos);
   }
 }

@@ -212,7 +212,7 @@ TEST(FuzzRegression, DeepCallReturnAndIndirectDispatcher) {
 // Back-end replay-diff corpus: run_replay_diff derives the machine shape
 // from the case content (salt = blocks*7 + events*5 + line_bytes), so these
 // two cases pin one in-order (odd salt) and one out-of-order (even salt)
-// configuration through the interp/batched/compiled differential check.
+// configuration through the interp/compiled differential check.
 // Call/return-heavy so every op pays the memory-latency charge and the
 // tiny derived window actually back-pressures the front end.
 TEST(FuzzRegression, ReplayDiffInOrderCallChain) {

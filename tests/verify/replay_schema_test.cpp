@@ -77,7 +77,6 @@ std::string build_report() {
   runner.record_phase("layouts", 0.125);
 
   const sim::ReplayMode modes[] = {sim::ReplayMode::kInterp,
-                                   sim::ReplayMode::kBatched,
                                    sim::ReplayMode::kCompiled};
   const bench::ReplaySimKind kinds[] = {bench::ReplaySimKind::kMissRate,
                                         bench::ReplaySimKind::kSequentiality,
@@ -119,7 +118,7 @@ TEST(ReplaySchemaTest, ReportMatchesGoldenFile) {
 }
 
 // The contract tools/perf_gate.py depends on, independent of golden bytes:
-// schema v3 with a mandatory throughput.events_per_sec, twelve clean cells,
+// schema v3 with a mandatory throughput.events_per_sec, eight clean cells,
 // each carrying sim/mode params and an events_per_sec metric, plan-backed
 // cells adding plan_seconds.
 TEST(ReplaySchemaTest, PerfGateContractHolds) {
@@ -136,7 +135,7 @@ TEST(ReplaySchemaTest, PerfGateContractHolds) {
 
   const JsonValue* results = report.find("results");
   ASSERT_TRUE(results != nullptr && results->is_array());
-  ASSERT_EQ(results->items.size(), 12u);
+  ASSERT_EQ(results->items.size(), 8u);
   for (const JsonValue& cell : results->items) {
     const JsonValue* params = cell.find("params");
     const JsonValue* metrics = cell.find("metrics");

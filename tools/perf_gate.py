@@ -2,8 +2,8 @@
 """CI perf-regression gate over replay-throughput bench reports.
 
 Wall-clock events/sec is machine-dependent, so the gate works on *speedup
-ratios*: for every simulator cell, events_per_sec in the batched/compiled
-replay mode divided by the interp mode measured in the same run on the same
+ratios*: for every simulator cell, events_per_sec in the compiled replay
+mode divided by the interp mode measured in the same run on the same
 machine. Ratios are compared against a committed baseline
 (bench/perf_baseline.json) with a tolerance band:
 
@@ -11,8 +11,8 @@ machine. Ratios are compared against a committed baseline
 
 A cell whose ratio falls below the band is a throughput regression and the
 gate exits 1. The gate additionally requires the best ratio across all cells
-to clear the baseline's `min_best_speedup` floor (the batched/compiled
-engines must actually be worth having), and validates the report's schema:
+to clear the baseline's `min_best_speedup` floor (the compiled engine must
+actually be worth having), and validates the report's schema:
 schema_version == 3 with a throughput.events_per_sec field.
 
 Usage:

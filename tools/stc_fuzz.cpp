@@ -14,9 +14,9 @@
 // exits 0.
 //
 // --replay-diff swaps the oracle for the replay-mode differential check:
-// every generated case is replayed through the interp, batched and compiled
-// engines (sim/replay.h) over every layout kind, and any counter divergence
-// is shrunk to a paste-ready regression snippet. Exit codes as above.
+// every generated case is replayed through the interp and compiled engines
+// (sim/replay.h) over every layout kind, and any counter divergence is
+// shrunk to a paste-ready regression snippet. Exit codes as above.
 //
 // --multitenant swaps in the multi-tenant composer differential check
 // (verify::run_multitenant_diff): each case's trace is split into a
