@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 
-#include "support/crc32.h"
 #include "support/env.h"
 #include "support/faultpoint.h"
-#include "support/io.h"
-#include "trace/trace_format.h"
 
 // Portable SIMD: GCC/Clang vector extensions compile to whatever the target
 // offers (AVX-512, AVX2 pairs, NEON, or plain scalar code) with identical
@@ -201,178 +197,6 @@ Result<ReplayPlan> build_replay_plan(ReplayMode mode,
                            backend);
 }
 
-namespace {
-
-// On-disk plan-cache entries. Host-endian with a CRC32 over the payload:
-// these are per-machine cache files keyed by content fingerprint, not an
-// interchange format, so the only obligations are "detect corruption" and
-// "never change counters" — any validation failure is a silent rebuild.
-constexpr std::uint64_t kSlabFileMagic = 0x53544353;  // "STCS"
-constexpr std::uint64_t kPlanFileMagic = 0x53544350;  // "STCP"
-constexpr std::uint64_t kCacheFileVersion = 1;
-constexpr std::size_t kSlabHeaderBytes = 4 * 8;
-constexpr std::size_t kPlanHeaderBytes = 9 * 8;
-
-static_assert(sizeof(cfg::BlockId) == 4, "slab cache files store u32 ids");
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::shared_ptr<const EventSlab> load_slab_file(const std::string& path) {
-  Result<std::vector<std::uint8_t>> bytes = read_file(path);
-  if (!bytes.is_ok()) return nullptr;
-  const std::vector<std::uint8_t>& b = bytes.value();
-  if (b.size() < kSlabHeaderBytes) return nullptr;
-  if (trace::format::get_u64(b.data()) != kSlabFileMagic) return nullptr;
-  if (trace::format::get_u64(b.data() + 8) != kCacheFileVersion) return nullptr;
-  const std::uint64_t n = trace::format::get_u64(b.data() + 16);
-  const std::uint64_t stated_crc = trace::format::get_u64(b.data() + 24);
-  if ((b.size() - kSlabHeaderBytes) / sizeof(cfg::BlockId) != n ||
-      (b.size() - kSlabHeaderBytes) % sizeof(cfg::BlockId) != 0) {
-    return nullptr;
-  }
-  if (crc32(b.data() + kSlabHeaderBytes, b.size() - kSlabHeaderBytes) !=
-      stated_crc) {
-    return nullptr;
-  }
-  std::vector<cfg::BlockId> events(static_cast<std::size_t>(n));
-  std::memcpy(events.data(), b.data() + kSlabHeaderBytes,
-              events.size() * sizeof(cfg::BlockId));
-  for (const cfg::BlockId id : events) {
-    if (id >= cfg::kInvalidBlock) return nullptr;
-  }
-  auto slab = std::make_shared<EventSlab>();
-  slab->adopt(std::move(events));
-  return slab;
-}
-
-void save_slab_file(const std::string& path, const EventSlab& slab) {
-  std::vector<std::uint8_t> out;
-  const std::size_t payload = slab.size() * sizeof(cfg::BlockId);
-  out.reserve(kSlabHeaderBytes + payload);
-  trace::format::put_u64(out, kSlabFileMagic);
-  trace::format::put_u64(out, kCacheFileVersion);
-  trace::format::put_u64(out, slab.size());
-  trace::format::put_u64(
-      out, crc32(reinterpret_cast<const std::uint8_t*>(slab.data()), payload));
-  const std::uint8_t* raw = reinterpret_cast<const std::uint8_t*>(slab.data());
-  out.insert(out.end(), raw, raw + payload);
-  // Best-effort: a failed write just means the next invocation rebuilds.
-  (void)write_file_atomic(path, out.data(), out.size(), "plancache.write");
-}
-
-// Plan-table files carry the compiled line tables plus (when enabled) the
-// back-end op tables, all specialized to one (meta, line size, spec) — the
-// header repeats everything the tables were specialized for so a stale file
-// under a colliding name can never be adopted.
-bool load_plan_tables(const std::string& path, std::size_t num_blocks,
-                      std::uint32_t line_bytes, const BackendSpec& backend,
-                      ReplayArena& arena, CompiledTable& compiled,
-                      BackendTable& backend_table) {
-  Result<std::vector<std::uint8_t>> bytes = read_file(path);
-  if (!bytes.is_ok()) return false;
-  const std::vector<std::uint8_t>& b = bytes.value();
-  if (b.size() < kPlanHeaderBytes) return false;
-  if (trace::format::get_u64(b.data()) != kPlanFileMagic) return false;
-  if (trace::format::get_u64(b.data() + 8) != kCacheFileVersion) return false;
-  if (trace::format::get_u64(b.data() + 16) != num_blocks) return false;
-  if (trace::format::get_u64(b.data() + 24) != line_bytes) return false;
-  const std::uint64_t enabled = trace::format::get_u64(b.data() + 32);
-  if (enabled != (backend.enabled ? 1 : 0)) return false;
-  if (backend.enabled &&
-      (trace::format::get_u64(b.data() + 40) != backend.base_latency ||
-       trace::format::get_u64(b.data() + 48) != backend.mem_latency ||
-       trace::format::get_u64(b.data() + 56) != backend.size_shift)) {
-    return false;
-  }
-  const std::uint64_t stated_crc = trace::format::get_u64(b.data() + 64);
-  std::size_t expected = 3 * 8 * num_blocks;
-  if (backend.enabled) expected += (4 + 3) * num_blocks;
-  if (b.size() - kPlanHeaderBytes != expected) return false;
-  if (crc32(b.data() + kPlanHeaderBytes, expected) != stated_crc) return false;
-
-  const std::uint8_t* p = b.data() + kPlanHeaderBytes;
-  std::uint64_t* first = arena.alloc<std::uint64_t>(num_blocks);
-  std::uint64_t* last = arena.alloc<std::uint64_t>(num_blocks);
-  std::uint64_t* word = arena.alloc<std::uint64_t>(num_blocks);
-  std::memcpy(first, p, num_blocks * 8);
-  std::memcpy(last, p + num_blocks * 8, num_blocks * 8);
-  std::memcpy(word, p + num_blocks * 16, num_blocks * 8);
-  compiled.adopt(line_bytes, first, last, word);
-  if (backend.enabled) {
-    p += num_blocks * 24;
-    std::uint32_t* latency = arena.alloc<std::uint32_t>(num_blocks);
-    std::uint8_t* dest = arena.alloc<std::uint8_t>(num_blocks);
-    std::uint8_t* src1 = arena.alloc<std::uint8_t>(num_blocks);
-    std::uint8_t* src2 = arena.alloc<std::uint8_t>(num_blocks);
-    std::memcpy(latency, p, num_blocks * 4);
-    std::memcpy(dest, p + num_blocks * 4, num_blocks);
-    std::memcpy(src1, p + num_blocks * 5, num_blocks);
-    std::memcpy(src2, p + num_blocks * 6, num_blocks);
-    backend_table.adopt(backend, latency, dest, src1, src2);
-  }
-  return true;
-}
-
-void save_plan_tables(const std::string& path, std::size_t num_blocks,
-                      std::uint32_t line_bytes, const BackendSpec& backend,
-                      const CompiledTable& compiled,
-                      const BackendTable& backend_table) {
-  std::vector<std::uint8_t> payload;
-  std::size_t expected = 3 * 8 * num_blocks;
-  if (backend.enabled) expected += (4 + 3) * num_blocks;
-  payload.reserve(expected);
-  const auto put_array_u64 = [&payload, num_blocks](const auto& fn) {
-    for (cfg::BlockId b = 0; b < num_blocks; ++b) {
-      trace::format::put_u64(payload, fn(b));
-    }
-  };
-  put_array_u64([&compiled](cfg::BlockId b) { return compiled.first_line(b); });
-  put_array_u64([&compiled](cfg::BlockId b) { return compiled.last_line(b); });
-  put_array_u64([&compiled](cfg::BlockId b) { return compiled.word_index(b); });
-  if (backend.enabled) {
-    for (cfg::BlockId b = 0; b < num_blocks; ++b) {
-      const std::uint32_t v = backend_table.latency(b);
-      for (int i = 0; i < 4; ++i) {
-        payload.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-      }
-    }
-    for (cfg::BlockId b = 0; b < num_blocks; ++b) {
-      payload.push_back(backend_table.dest(b));
-    }
-    for (cfg::BlockId b = 0; b < num_blocks; ++b) {
-      payload.push_back(backend_table.src1(b));
-    }
-    for (cfg::BlockId b = 0; b < num_blocks; ++b) {
-      payload.push_back(backend_table.src2(b));
-    }
-  }
-  std::vector<std::uint8_t> out;
-  out.reserve(kPlanHeaderBytes + payload.size());
-  trace::format::put_u64(out, kPlanFileMagic);
-  trace::format::put_u64(out, kCacheFileVersion);
-  trace::format::put_u64(out, num_blocks);
-  trace::format::put_u64(out, line_bytes);
-  trace::format::put_u64(out, backend.enabled ? 1 : 0);
-  trace::format::put_u64(out, backend.enabled ? backend.base_latency : 0);
-  trace::format::put_u64(out, backend.enabled ? backend.mem_latency : 0);
-  trace::format::put_u64(out, backend.enabled ? backend.size_shift : 0);
-  trace::format::put_u64(out, crc32(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  (void)write_file_atomic(path, out.data(), out.size(), "plancache.write");
-}
-
-}  // namespace
-
-ReplayPlanCache::ReplayPlanCache() {
-  const Result<std::string> dir = env::plan_cache_dir();
-  disk_dir_ = dir.is_ok() ? dir.value() : std::string();
-}
-
 const ReplayPlan* ReplayPlanCache::get(const trace::BlockTrace& trace,
                                        const cfg::ProgramImage& image,
                                        const cfg::AddressMap& layout,
@@ -410,67 +234,12 @@ const ReplayPlan* ReplayPlanCache::get(const trace::BlockTrace& trace,
 
   std::shared_ptr<const EventSlab>& slab = slabs_[trace_fp];
   if (slab == nullptr) {
-    const std::string slab_path =
-        disk_dir_.empty()
-            ? std::string()
-            : disk_dir_ + "/slab_" + hex16(trace_fp) + ".stcs";
-    if (!slab_path.empty()) {
-      std::shared_ptr<const EventSlab> loaded = load_slab_file(slab_path);
-      // Beyond the file's own CRC, the slab must agree with the trace it
-      // claims to cache and must not name blocks the image lacks — a bad
-      // cache entry downgrades to a rebuild, never an aborted run.
-      if (loaded != nullptr && loaded->size() == trace.num_events() &&
-          (loaded->size() == 0 || loaded->max_id() < image.num_blocks())) {
-        slab = std::move(loaded);
-      }
-    }
-    if (slab == nullptr) {
-      auto built = std::make_shared<EventSlab>();
-      built->build(trace);
-      slab = std::move(built);
-      if (!slab_path.empty()) save_slab_file(slab_path, *slab);
-    }
+    auto built = std::make_shared<EventSlab>();
+    built->build(trace);
+    slab = std::move(built);
   }
-  Result<ReplayPlan> plan = [&]() -> Result<ReplayPlan> {
-    if (disk_dir_.empty() || line_bytes == 0) {
-      return build_replay_plan(ReplayMode::kCompiled, slab, image, layout,
-                               line_bytes, backend);
-    }
-    // Disk path: the key fingerprint names a plan-tables file; adopt it
-    // when every specialization parameter matches, rebuild (and persist)
-    // otherwise. Fault-injected builds are not persisted — the null plan
-    // stays an in-memory fact and the next run retries the build.
-    std::uint64_t key_fp = kBasis;
-    key_fp = fnv(key_fp, trace_fp);
-    key_fp = fnv(key_fp, image_fp);
-    key_fp = fnv(key_fp, layout_fp);
-    key_fp = fnv(key_fp, line_bytes);
-    key_fp = fnv(key_fp, backend.fingerprint());
-    const std::string plan_path =
-        disk_dir_ + "/plan_" + hex16(key_fp) + ".stcp";
-    ReplayPlan built;
-    built.slab_ = slab;
-    built.arena_ = std::make_unique<ReplayArena>();
-    built.meta_.build(image, layout, *built.arena_);
-    STC_CHECK_MSG(built.slab_->size() == 0 ||
-                      built.slab_->max_id() < built.meta_.size(),
-                  "trace names blocks outside the program image");
-    if (load_plan_tables(plan_path, built.meta_.size(), line_bytes, backend,
-                         *built.arena_, built.compiled_, built.backend_)) {
-      return built;
-    }
-    if (Status s =
-            built.compiled_.build(built.meta_, line_bytes, *built.arena_);
-        !s.is_ok()) {
-      return s.with_context("compiled replay");
-    }
-    if (backend.enabled) {
-      built.backend_.build(built.meta_, backend, *built.arena_);
-    }
-    save_plan_tables(plan_path, built.meta_.size(), line_bytes, backend,
-                     built.compiled_, built.backend_);
-    return built;
-  }();
+  Result<ReplayPlan> plan = build_replay_plan(
+      ReplayMode::kCompiled, slab, image, layout, line_bytes, backend);
   if (!plan.is_ok()) {
     if (!logged_fallback_) {
       logged_fallback_ = true;

@@ -144,8 +144,9 @@ class BlockMetaTable {
 class EventSlab {
  public:
   void build(const trace::BlockTrace& trace);
-  // Takes ownership of a pre-decoded event vector (the on-disk plan-cache
-  // load path); computes max_id like build() does.
+  // Takes ownership of an already-decoded event vector (a caller that
+  // decoded the trace itself, e.g. perfbench); computes max_id like build()
+  // does.
   void adopt(std::vector<cfg::BlockId> events);
 
   std::size_t size() const { return events_.size(); }
@@ -238,16 +239,6 @@ class CompiledTable {
   Status build(const BlockMetaTable& meta, std::uint32_t line_bytes,
                ReplayArena& arena);
 
-  // Installs pre-built tables (the on-disk plan-cache load path). The
-  // arrays must outlive the table — they live in the owning plan's arena.
-  void adopt(std::uint32_t line_bytes, const std::uint64_t* first_line,
-             const std::uint64_t* last_line, const std::uint64_t* word_index) {
-    line_bytes_ = line_bytes;
-    first_line_ = first_line;
-    last_line_ = last_line;
-    word_index_ = word_index;
-  }
-
   bool valid() const { return line_bytes_ != 0; }
   std::uint32_t line_bytes() const { return line_bytes_; }
   std::uint64_t first_line(cfg::BlockId b) const { return first_line_[b]; }
@@ -272,19 +263,6 @@ class BackendTable {
  public:
   void build(const BlockMetaTable& meta, const BackendSpec& spec,
              ReplayArena& arena);
-
-  // Installs pre-built tables (the on-disk plan-cache load path); the
-  // arrays must outlive the table.
-  void adopt(const BackendSpec& spec, const std::uint32_t* latency,
-             const std::uint8_t* dest, const std::uint8_t* src1,
-             const std::uint8_t* src2) {
-    spec_ = spec;
-    latency_ = latency;
-    dest_ = dest;
-    src1_ = src1;
-    src2_ = src2;
-    valid_ = true;
-  }
 
   bool valid() const { return valid_; }
   const BackendSpec& spec() const { return spec_; }
@@ -338,7 +316,6 @@ class ReplayPlan {
       ReplayMode mode, std::shared_ptr<const EventSlab> slab,
       const cfg::ProgramImage& image, const cfg::AddressMap& layout,
       std::uint32_t line_bytes, const BackendSpec& backend);
-  friend class ReplayPlanCache;  // the disk-load path adopts tables directly
 
   std::shared_ptr<const EventSlab> slab_;
   std::unique_ptr<ReplayArena> arena_;  // stable storage behind the tables
@@ -366,7 +343,8 @@ Result<ReplayPlan> build_replay_plan(ReplayMode mode,
                                      const BackendSpec& backend = {});
 
 // Memoizes slabs per trace and plans per (trace, image, layout, line size,
-// back-end spec) — the bench grids evaluate many cells over few distinct layouts.
+// back-end spec), in memory only — the bench grids evaluate many cells over
+// few distinct layouts.
 // Keys are CONTENT fingerprints, not object addresses: benches rebuild
 // traces, images and layouts per cell, and the allocator happily recycles a
 // dead layout's address for the next one — a pointer key would then serve a
@@ -375,15 +353,6 @@ Result<ReplayPlan> build_replay_plan(ReplayMode mode,
 // Thread-safe.
 class ReplayPlanCache {
  public:
-  // Reads STC_PLAN_CACHE_DIR once at construction. When set, decoded event
-  // slabs and compiled tables additionally persist to that directory
-  // (host-endian, CRC-checked, atomic writes under fault prefix
-  // "plancache.write"), keyed by the same content fingerprints — so plans
-  // survive across bench *invocations*, not just across cells. A corrupt or
-  // mismatched cache file is silently rebuilt and rewritten; the disk layer
-  // can slow a run down but never change its counters.
-  ReplayPlanCache();
-
   const ReplayPlan* get(const trace::BlockTrace& trace,
                         const cfg::ProgramImage& image,
                         const cfg::AddressMap& layout,
@@ -400,7 +369,6 @@ class ReplayPlanCache {
   std::map<std::uint64_t, std::shared_ptr<const EventSlab>> slabs_;
   std::map<Key, std::unique_ptr<const ReplayPlan>> plans_;  // null = fallback
   bool logged_fallback_ = false;
-  std::string disk_dir_;  // "" = on-disk layer disabled
 };
 
 // Span kernels behind the replay loops, exposed so tests can pin SIMD

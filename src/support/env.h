@@ -103,10 +103,6 @@ Result<bool> zero_timings();
 // back to buffered reads when mapping fails). Default 1.
 Result<bool> mmap_enabled();
 
-// STC_PLAN_CACHE_DIR: directory for on-disk replay-plan cache entries;
-// must already exist and be a directory. Default "" (cache disabled).
-Result<std::string> plan_cache_dir();
-
 // Parses every knob above plus the STC_FAULT spec syntax; returns the first
 // error. Cheap — pure parsing, no filesystem work beyond one stat.
 Status validate_all();

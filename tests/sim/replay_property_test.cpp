@@ -246,6 +246,24 @@ TEST(ReplayPlanCacheTest, KeysOnContentNotAddress) {
   EXPECT_EQ(after->meta().addr(0), addr0 + 1024);
 }
 
+// The compiled tables specialize for one line size, so two line sizes over
+// the same (trace, image, layout) must get distinct plans.
+TEST(ReplayPlanCacheTest, DistinctLineSizesGetDistinctPlans) {
+  Rng rng(6161);
+  const auto image = testing::random_image(rng, 10);
+  const trace::BlockTrace trace = testing::random_trace(*image, rng, 500);
+  const cfg::AddressMap layout = cfg::AddressMap::original(*image);
+
+  ReplayPlanCache cache;
+  const ReplayPlan* a = cache.get(trace, *image, layout, 32);
+  const ReplayPlan* b = cache.get(trace, *image, layout, 64);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(a->compiled().line_bytes(), 32u);
+  EXPECT_EQ(b->compiled().line_bytes(), 64u);
+}
+
 // Two distinct enabled back-end specs bake different latencies into their
 // compiled tables, so they must never share a cache entry; the same spec
 // must keep hitting its own entry, and spec-less lookups keep the pre-spec

@@ -355,17 +355,6 @@ TEST(EnvTest, MmapIsStrictlyBoolean) {
   expect_knob_error(mmap_enabled(), "STC_MMAP", "yes");
 }
 
-TEST(EnvTest, PlanCacheDirMustExist) {
-  EXPECT_EQ(plan_cache_dir().value(), "");  // default: cache disabled
-  {
-    ScopedEnv guard("STC_PLAN_CACHE_DIR", ::testing::TempDir().c_str());
-    EXPECT_EQ(plan_cache_dir().value(), ::testing::TempDir());
-  }
-  ScopedEnv guard("STC_PLAN_CACHE_DIR", "/nonexistent/cache/dir");
-  expect_knob_error(plan_cache_dir(), "STC_PLAN_CACHE_DIR",
-                    "/nonexistent/cache/dir");
-}
-
 TEST(EnvTest, ResumeIsStrictlyBoolean) {
   {
     ScopedEnv guard("STC_RESUME", nullptr);

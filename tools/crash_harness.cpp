@@ -170,8 +170,7 @@ std::map<std::string, std::uint64_t> read_dump(const std::string& path) {
 }
 
 bool is_write_boundary(const std::string& point) {
-  for (const char* prefix :
-       {"journal.", "report.write.", "trace.save.", "plancache.write"}) {
+  for (const char* prefix : {"journal.", "report.write.", "trace.save."}) {
     if (point.rfind(prefix, 0) == 0) return true;
   }
   return false;
