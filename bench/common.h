@@ -43,8 +43,6 @@
 //                   (default poisson)
 //   STC_TENANT_MIX- comma list of per-tenant mixes, assigned round-robin:
 //                   dss|dss_train|oltp (default dss,oltp)
-//   STC_MMAP      - 1 streams on-disk traces through mmap, 0 forces buffered
-//                   reads (default 1; scale_sweep's streaming cells)
 //   STC_RESUME    - 1 resumes a killed/crashed run from BENCH_<name>.journal,
 //                   re-running only the cells the journal does not cover; the
 //                   finished report is byte-identical to an uninterrupted run

@@ -4,24 +4,28 @@
 // builds K-fold replications of the Test trace on disk through
 // trace::TraceFileWriter (K = 1, 10, 100 — the x100 file is two orders of
 // magnitude past today's largest in-memory run), then replays each one
-// *streamed*: trace::TraceReader maps the file (STC_MMAP), decodes one chunk
-// at a time and drops its pages behind the pass, so peak resident memory is
-// bounded by the chunk size while the file scales freely. Grid:
+// *streamed*: trace::TraceReader preads and decodes one chunk at a time, so
+// peak resident memory is bounded by the chunk size while the file scales
+// freely. Grid:
 //
 //   sim  = stream_missrate_xK | stream_seq_xK
-//   mode = interp   (scalar span kernel, line math from the meta table)
-//        | compiled (8-wide SIMD kernel over pre-resolved line tables)
+//   mode = interp   (line math from the meta table)
+//        | compiled (pre-resolved line tables)
 //
-// Every compiled cell re-runs its scalar streamed twin untimed and requires
+// Both modes run the same scalar span kernels; for sequentiality, which uses
+// no line tables, the two rows run identical code. Every compiled missrate
+// cell re-runs its table-free streamed twin untimed and requires
 // bit-identical counters; the K=1 cells additionally cross-check against the
-// in-memory slab replay. rss_peak_mb reports ru_maxrss after the cell — the
-// x100 rows demonstrate bounded-RSS replay of a trace ~100x the in-memory
-// footprint. tools/perf_gate.py gates the compiled/interp speedup of the x10
+// in-memory slab replay. rss_peak_mb reports ru_maxrss after the cell, and
+// the run fails (exit 1) when an x100 cell's peak exceeds the x1 cells' by
+// more than kRssSlackMb — the check that replay memory does not grow with
+// the trace. tools/perf_gate.py gates the compiled/interp ratio of the x10
 // rows against bench/perf_baseline.json.
 //
 // The grid runs its cells on a single thread so the timings stay clean.
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -39,6 +43,11 @@ double rss_peak_mb() {
   ::getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KB
 }
+
+// How far an x100 cell's peak RSS may rise above the x1 cells' before the
+// run fails. Chunk buffers are tens of KB; reading the x100 file whole would
+// add hundreds of MB even at STC_SF=0.0005.
+constexpr double kRssSlackMb = 16.0;
 
 void require_equal(std::uint64_t got, std::uint64_t want, const char* what) {
   if (got != want) {
@@ -99,21 +108,19 @@ int main() {
   });
 
   // jobs[factor][sim][mode]: sim 0 = missrate, 1 = sequentiality;
-  // mode 0 = interp (scalar), 1 = compiled (SIMD + tables).
+  // mode 0 = interp (no tables), 1 = compiled (line tables).
   std::size_t jobs[std::size(factors)][2][2];
   for (std::size_t f = 0; f < std::size(factors); ++f) {
     const std::uint32_t factor = factors[f];
     const std::string path = path_for(factor);
     for (int compiled = 0; compiled < 2; ++compiled) {
       const char* mode = compiled ? "compiled" : "interp";
-      const sim::ReplayKernel kernel =
-          compiled ? sim::ReplayKernel::kSimd : sim::ReplayKernel::kScalar;
 
       const std::string miss_sim =
           "stream_missrate_x" + std::to_string(factor);
       jobs[f][0][compiled] = runner.add(
           miss_sim + " " + mode, {{"sim", miss_sim}, {"mode", mode}},
-          [&plan, path, geometry, factor, compiled, kernel] {
+          [&plan, path, geometry, factor, compiled] {
             auto opened = trace::TraceReader::open(path);
             if (!opened.is_ok()) throw StatusError(opened.status());
             const trace::TraceReader reader = std::move(opened).take();
@@ -121,20 +128,19 @@ int main() {
                 compiled ? &plan.compiled() : nullptr;
             sim::ICache icache(geometry);
             const auto start = std::chrono::steady_clock::now();
-            auto streamed = sim::replay_missrate_streamed(
-                reader, plan.meta(), tables, icache, kernel);
+            auto streamed = sim::replay_missrate_streamed(reader, plan.meta(),
+                                                          tables, icache);
             const double seconds = std::chrono::duration<double>(
                                        std::chrono::steady_clock::now() - start)
                                        .count();
             if (!streamed.is_ok()) throw StatusError(streamed.status());
             const sim::MissRateResult result = streamed.value();
             if (compiled) {
-              // The timed SIMD+tables pass must match the scalar streamed
+              // The timed tables pass must match the table-free streamed
               // reference bit for bit.
               sim::ICache ref_cache(geometry);
-              auto ref = sim::replay_missrate_streamed(
-                  reader, plan.meta(), nullptr, ref_cache,
-                  sim::ReplayKernel::kScalar);
+              auto ref = sim::replay_missrate_streamed(reader, plan.meta(),
+                                                       nullptr, ref_cache);
               if (!ref.is_ok()) throw StatusError(ref.status());
               require_equal(result.misses, ref.value().misses, "misses");
               require_equal(result.line_accesses, ref.value().line_accesses,
@@ -168,29 +174,18 @@ int main() {
       const std::string seq_sim = "stream_seq_x" + std::to_string(factor);
       jobs[f][1][compiled] = runner.add(
           seq_sim + " " + mode, {{"sim", seq_sim}, {"mode", mode}},
-          [&plan, path, factor, compiled, kernel] {
+          [&plan, path, factor] {
             auto opened = trace::TraceReader::open(path);
             if (!opened.is_ok()) throw StatusError(opened.status());
             const trace::TraceReader reader = std::move(opened).take();
             const auto start = std::chrono::steady_clock::now();
             auto streamed =
-                sim::replay_sequentiality_streamed(reader, plan.meta(), kernel);
+                sim::replay_sequentiality_streamed(reader, plan.meta());
             const double seconds = std::chrono::duration<double>(
                                        std::chrono::steady_clock::now() - start)
                                        .count();
             if (!streamed.is_ok()) throw StatusError(streamed.status());
             const trace::SequentialityStats stats = streamed.value();
-            if (compiled) {
-              auto ref = sim::replay_sequentiality_streamed(
-                  reader, plan.meta(), sim::ReplayKernel::kScalar);
-              if (!ref.is_ok()) throw StatusError(ref.status());
-              require_equal(stats.instructions, ref.value().instructions,
-                            "instructions");
-              require_equal(stats.taken_transitions,
-                            ref.value().taken_transitions, "taken_transitions");
-              require_equal(stats.dynamic_blocks, ref.value().dynamic_blocks,
-                            "dynamic_blocks");
-            }
             if (factor == 1) {
               const trace::SequentialityStats mem =
                   sim::replay_sequentiality(plan);
@@ -237,9 +232,29 @@ int main() {
   }
   std::fputs(table.render().c_str(), stdout);
   std::printf(
-      "\nStreamed replay decodes one chunk at a time off the mapped file and\n"
-      "releases its pages behind the pass; peak RSS stays bounded while the\n"
-      "trace scales x100. Compiled rows run the 8-wide SIMD kernels.\n");
+      "\nStreamed replay reads and decodes one chunk at a time; peak RSS\n"
+      "stays bounded while the trace scales x100. Compiled rows add the\n"
+      "pre-resolved line tables (sequentiality uses none).\n");
 
-  return bench::write_report(runner);
+  const int code = bench::write_report(runner);
+  // ru_maxrss only grows, so the x1 cells (run first) hold the baseline.
+  double x1_peak = 0.0;
+  for (const auto& sim_jobs : jobs[0]) {
+    for (const std::size_t job : sim_jobs) {
+      x1_peak = std::max(x1_peak, runner.metric_or(job, "rss_peak_mb", 0.0));
+    }
+  }
+  for (const auto& sim_jobs : jobs[std::size(factors) - 1]) {
+    for (const std::size_t job : sim_jobs) {
+      const double peak = runner.metric_or(job, "rss_peak_mb", 0.0);
+      if (peak > x1_peak + kRssSlackMb) {
+        std::fprintf(stderr,
+                     "[scale_sweep] FAIL: x100 peak RSS %.1f MB exceeds the "
+                     "x1 peak %.1f MB by more than %.0f MB\n",
+                     peak, x1_peak, kRssSlackMb);
+        return 1;
+      }
+    }
+  }
+  return code;
 }

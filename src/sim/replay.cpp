@@ -7,17 +7,6 @@
 #include "support/env.h"
 #include "support/faultpoint.h"
 
-// Portable SIMD: GCC/Clang vector extensions compile to whatever the target
-// offers (AVX-512, AVX2 pairs, NEON, or plain scalar code) with identical
-// integer semantics, so the fast path needs no per-ISA intrinsics and the
-// bit-identity contract holds everywhere. STC_REPLAY_NO_SIMD forces the
-// scalar reference loops (used to cross-check, and for odd toolchains).
-#if (defined(__GNUC__) || defined(__clang__)) && !defined(STC_REPLAY_NO_SIMD)
-#define STC_REPLAY_SIMD 1
-#else
-#define STC_REPLAY_SIMD 0
-#endif
-
 namespace stc::sim {
 
 const char* to_string(ReplayMode mode) {
@@ -122,17 +111,14 @@ Status CompiledTable::build(const BlockMetaTable& meta,
   const std::size_t n = meta.size();
   std::uint64_t* first = arena.alloc<std::uint64_t>(n);
   std::uint64_t* last = arena.alloc<std::uint64_t>(n);
-  std::uint64_t* word = arena.alloc<std::uint64_t>(n);
   for (cfg::BlockId b = 0; b < n; ++b) {
     first[b] = meta.addr(b) / line_bytes;
     // Mirrors run_missrate: the last line is the one holding the block's
     // final instruction byte (end_addr - 1), even for zero-length blocks.
     last[b] = (meta.end_addr(b) - 1) / line_bytes;
-    word[b] = meta.addr(b) / cfg::kInsnBytes;
   }
   first_line_ = first;
   last_line_ = last;
-  word_index_ = word;
   line_bytes_ = line_bytes;
   return Status::ok();
 }
@@ -257,32 +243,25 @@ const ReplayPlan* ReplayPlanCache::get(const trace::BlockTrace& trace,
 }
 
 namespace replay_detail {
-namespace {
-
-#if STC_REPLAY_SIMD
-typedef std::uint64_t u64x8 __attribute__((vector_size(64)));
-#endif
-constexpr std::size_t kLanes = 8;
-
-}  // namespace
 
 void missrate_span(const cfg::BlockId* events, std::size_t n,
                    const BlockMetaTable& meta, const CompiledTable* tables,
                    std::uint32_t line_bytes, ICache& cache,
                    std::vector<std::uint64_t>* per_block_misses,
-                   ReplayKernel kernel, MissSpanState& state,
-                   MissRateResult& result) {
-  (void)kernel;
+                   MissSpanState& state, MissRateResult& result) {
   const bool use_tables = tables != nullptr && tables->valid() &&
                           tables->line_bytes() == line_bytes;
   std::uint64_t prev_line = state.prev_line;
   // Same contract as the interpreter loop: consecutive instructions on one
-  // line probe once; a line re-entered after leaving probes again. The probe
-  // sequence is inherently serial (the cache is stateful), so it is shared
-  // verbatim by both kernels — SIMD only accelerates the pure per-event
-  // arithmetic around it, which is what keeps the kernels bit-identical.
-  const auto probe = [&](cfg::BlockId block, std::uint64_t first,
-                         std::uint64_t last) {
+  // line probe once; a line re-entered after leaving probes again.
+  for (std::size_t i = 0; i < n; ++i) {
+    const cfg::BlockId block = events[i];
+    result.instructions += meta.insns(block);
+    const std::uint64_t first = use_tables ? tables->first_line(block)
+                                           : meta.addr(block) / line_bytes;
+    const std::uint64_t last = use_tables
+                                   ? tables->last_line(block)
+                                   : (meta.end_addr(block) - 1) / line_bytes;
     for (std::uint64_t l = first; l <= last; ++l) {
       if (l == prev_line) continue;
       ++result.line_accesses;
@@ -292,52 +271,13 @@ void missrate_span(const cfg::BlockId* events, std::size_t n,
       }
       prev_line = l;
     }
-  };
-  std::size_t i = 0;
-#if STC_REPLAY_SIMD
-  if (kernel == ReplayKernel::kSimd && use_tables && n >= kLanes) {
-    // Vector pre-pass per 8 events: gather the pre-resolved line bounds and
-    // accumulate instruction counts in vector lanes; then drain the probes
-    // in order from the gathered bounds.
-    u64x8 insn_acc = {};
-    std::uint64_t firsts[kLanes];
-    std::uint64_t lasts[kLanes];
-    for (; i + kLanes <= n; i += kLanes) {
-      u64x8 insns;
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const cfg::BlockId b = events[i + l];
-        insns[l] = meta.insns(b);
-        firsts[l] = tables->first_line(b);
-        lasts[l] = tables->last_line(b);
-      }
-      insn_acc += insns;
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        probe(events[i + l], firsts[l], lasts[l]);
-      }
-    }
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      result.instructions += insn_acc[l];
-    }
-  }
-#endif
-  for (; i < n; ++i) {
-    const cfg::BlockId block = events[i];
-    result.instructions += meta.insns(block);
-    const std::uint64_t first = use_tables ? tables->first_line(block)
-                                           : meta.addr(block) / line_bytes;
-    const std::uint64_t last = use_tables
-                                   ? tables->last_line(block)
-                                   : (meta.end_addr(block) - 1) / line_bytes;
-    probe(block, first, last);
   }
   state.prev_line = prev_line;
 }
 
 void sequentiality_span(const cfg::BlockId* events, std::size_t n,
-                        const BlockMetaTable& meta, ReplayKernel kernel,
-                        SeqSpanState& state,
+                        const BlockMetaTable& meta, SeqSpanState& state,
                         trace::SequentialityStats& stats) {
-  (void)kernel;
   if (n == 0) return;
   // The transition into this span belongs to the previous span's last event
   // — the slab loop sees the two events adjacent.
@@ -346,34 +286,7 @@ void sequentiality_span(const cfg::BlockId* events, std::size_t n,
     ++stats.taken_transitions;
   }
   stats.dynamic_blocks += n;
-  std::size_t i = 0;
-#if STC_REPLAY_SIMD
-  if (kernel == ReplayKernel::kSimd && n > kLanes) {
-    u64x8 insn_acc = {};
-    u64x8 taken_acc = {};
-    // Each lane compares event i+l's end address with event i+l+1's start
-    // address, so the loop needs one event of lookahead (i + kLanes < n).
-    for (; i + kLanes < n; i += kLanes) {
-      u64x8 next_addr;
-      u64x8 end_addr;
-      u64x8 insns;
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        next_addr[l] = meta.addr(events[i + l + 1]);
-        end_addr[l] = meta.end_addr(events[i + l]);
-        insns[l] = meta.insns(events[i + l]);
-      }
-      insn_acc += insns;
-      // A vector compare fills true lanes with all-ones (-1); subtracting
-      // therefore adds one per taken transition.
-      taken_acc -= reinterpret_cast<u64x8>(next_addr != end_addr);
-    }
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      stats.instructions += insn_acc[l];
-      stats.taken_transitions += taken_acc[l];
-    }
-  }
-#endif
-  for (; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     stats.instructions += meta.insns(events[i]);
     if (i + 1 < n &&
         meta.addr(events[i + 1]) != meta.end_addr(events[i])) {
@@ -396,8 +309,7 @@ MissRateResult replay_missrate(const ReplayPlan& plan, ICache& cache,
   replay_detail::MissSpanState state;
   replay_detail::missrate_span(plan.slab().data(), plan.slab().size(), meta,
                                &plan.compiled(), cache.geometry().line_bytes,
-                               cache, per_block_misses, ReplayKernel::kSimd,
-                               state, result);
+                               cache, per_block_misses, state, result);
   return result;
 }
 
@@ -405,8 +317,7 @@ trace::SequentialityStats replay_sequentiality(const ReplayPlan& plan) {
   trace::SequentialityStats stats;
   replay_detail::SeqSpanState state;
   replay_detail::sequentiality_span(plan.slab().data(), plan.slab().size(),
-                                    plan.meta(), ReplayKernel::kSimd, state,
-                                    stats);
+                                    plan.meta(), state, stats);
   return stats;
 }
 
@@ -414,7 +325,7 @@ namespace {
 
 // Shared chunk pump for the streamed replays: decode, range-check against
 // the metadata table (the streamed loops index unchecked, exactly like the
-// slab loops after their one-time max_id check), replay, release pages.
+// slab loops after their one-time max_id check), replay.
 Status stream_chunks(
     const trace::TraceReader& reader, const BlockMetaTable& meta,
     const std::function<void(const cfg::BlockId*, std::size_t)>& on_span) {
@@ -433,7 +344,6 @@ Status stream_chunks(
       }
     }
     on_span(buffer.data(), buffer.size());
-    reader.release_chunk(c);
   }
   return Status::ok();
 }
@@ -442,7 +352,7 @@ Status stream_chunks(
 
 Result<MissRateResult> replay_missrate_streamed(
     const trace::TraceReader& reader, const BlockMetaTable& meta,
-    const CompiledTable* tables, ICache& cache, ReplayKernel kernel) {
+    const CompiledTable* tables, ICache& cache) {
   MissRateResult result;
   replay_detail::MissSpanState state;
   const std::uint32_t line = cache.geometry().line_bytes;
@@ -450,22 +360,20 @@ Result<MissRateResult> replay_missrate_streamed(
       reader, meta,
       [&](const cfg::BlockId* events, std::size_t n) {
         replay_detail::missrate_span(events, n, meta, tables, line, cache,
-                                     nullptr, kernel, state, result);
+                                     nullptr, state, result);
       });
   if (!s.is_ok()) return s;
   return result;
 }
 
 Result<trace::SequentialityStats> replay_sequentiality_streamed(
-    const trace::TraceReader& reader, const BlockMetaTable& meta,
-    ReplayKernel kernel) {
+    const trace::TraceReader& reader, const BlockMetaTable& meta) {
   trace::SequentialityStats stats;
   replay_detail::SeqSpanState state;
   Status s = stream_chunks(
       reader, meta,
       [&](const cfg::BlockId* events, std::size_t n) {
-        replay_detail::sequentiality_span(events, n, meta, kernel, state,
-                                          stats);
+        replay_detail::sequentiality_span(events, n, meta, state, stats);
       });
   if (!s.is_ok()) return s;
   return stats;

@@ -13,13 +13,12 @@
 // Two modes, selected with STC_REPLAY (validated in src/support/env):
 //   interp   - the original per-event streams; the reference semantics.
 //   compiled - slab + SoA metadata, plus per-block cache-line membership
-//              (first/last line index under a fixed line size), the
-//              trace-cache word index and (with an enabled BackendSpec) the
-//              back-end op tables, pre-resolved into flat tables keyed by
-//              block id, so the Table 3 inner loop is table lookups plus
-//              counter updates. The fetch simulators consume the same
-//              BlockRun values the interpreter would produce, via shared
-//              code paths.
+//              (first/last line index under a fixed line size) and (with an
+//              enabled BackendSpec) the back-end op tables, pre-resolved
+//              into flat tables keyed by block id, so the Table 3 inner loop
+//              is table lookups plus counter updates. The fetch simulators
+//              consume the same BlockRun values the interpreter would
+//              produce, via shared code paths.
 //   auto     - the fastest mode (compiled).
 //
 // Compiled replay is required to produce counters bit-identical to the
@@ -29,14 +28,12 @@
 // "replay.compile" so fault-injection tests can force the clean fallback to
 // the interpreter.
 //
-// The missrate/sequentiality inner loops are span kernels over a raw event
-// range with explicit carried state (replay_detail), which buys two things:
-// an 8-wide SIMD fast path (portable GCC/Clang vector extensions, scalar
-// fallback elsewhere — bit-identical by construction because integer sums
-// are associative and the stateful cache probes stay scalar and in order),
-// and streaming replay (replay_*_streamed) that pulls chunks off an on-disk
-// trace through trace::TraceReader one at a time, so traces far larger than
-// RAM replay with peak memory bounded by one chunk.
+// The missrate/sequentiality inner loops are scalar span kernels over a raw
+// event range with explicit carried state (replay_detail). That is what
+// makes streaming replay (replay_*_streamed) possible: it pulls chunks off
+// an on-disk trace through trace::TraceReader one at a time and feeds each
+// to the same kernel, so traces far larger than RAM replay with peak memory
+// bounded by one chunk.
 #pragma once
 
 #include <cstdint>
@@ -61,13 +58,6 @@
 namespace stc::sim {
 
 enum class ReplayMode { kInterp, kCompiled };
-
-// Inner-loop kernel selection. kSimd takes the 8-wide vector path where the
-// toolchain provides vector extensions (GCC/Clang; define STC_REPLAY_NO_SIMD
-// to opt out) and silently degrades to the scalar reference loop elsewhere;
-// both produce bit-identical counters, so this is a speed knob, never a
-// semantics knob. Benches use kScalar for their "interp-equivalent" rows.
-enum class ReplayKernel { kScalar, kSimd };
 
 const char* to_string(ReplayMode mode);
 
@@ -231,7 +221,7 @@ inline void backend_op_regs(std::uint64_t addr, std::uint32_t insns,
 }
 
 // Compiled-mode flat tables keyed by block id: cache-line membership under
-// one fixed line size (the grid's geometry) and the trace-cache word index.
+// one fixed line size (the grid's geometry).
 class CompiledTable {
  public:
   // Fires faultpoint "replay.compile"; on a fault the table stays invalid
@@ -243,15 +233,11 @@ class CompiledTable {
   std::uint32_t line_bytes() const { return line_bytes_; }
   std::uint64_t first_line(cfg::BlockId b) const { return first_line_[b]; }
   std::uint64_t last_line(cfg::BlockId b) const { return last_line_[b]; }
-  // addr / kInsnBytes: what TraceCache::index_of reduces modulo its entry
-  // count. Pre-resolved so set selection is one AND at simulation time.
-  std::uint64_t word_index(cfg::BlockId b) const { return word_index_[b]; }
 
  private:
   std::uint32_t line_bytes_ = 0;
   const std::uint64_t* first_line_ = nullptr;
   const std::uint64_t* last_line_ = nullptr;
-  const std::uint64_t* word_index_ = nullptr;
 };
 
 // Compiled back-end tables keyed by block id: op latency and synthetic
@@ -371,11 +357,10 @@ class ReplayPlanCache {
   bool logged_fallback_ = false;
 };
 
-// Span kernels behind the replay loops, exposed so tests can pin SIMD
-// against scalar over arbitrary span lengths (tails included). Each kernel
-// consumes a raw event range and carries explicit state, so feeding a slab
-// in one span or chunk-by-chunk composes to exactly the same counter and
-// cache-access sequence.
+// Span kernels behind the replay loops, exposed so tests can pin them over
+// arbitrary span lengths. Each kernel consumes a raw event range and carries
+// explicit state, so feeding a slab in one span or chunk-by-chunk composes
+// to exactly the same counter and cache-access sequence.
 namespace replay_detail {
 
 struct MissSpanState {
@@ -395,11 +380,10 @@ void missrate_span(const cfg::BlockId* events, std::size_t n,
                    const BlockMetaTable& meta, const CompiledTable* tables,
                    std::uint32_t line_bytes, ICache& cache,
                    std::vector<std::uint64_t>* per_block_misses,
-                   ReplayKernel kernel, MissSpanState& state,
-                   MissRateResult& result);
+                   MissSpanState& state, MissRateResult& result);
 void sequentiality_span(const cfg::BlockId* events, std::size_t n,
-                        const BlockMetaTable& meta, ReplayKernel kernel,
-                        SeqSpanState& state, trace::SequentialityStats& stats);
+                        const BlockMetaTable& meta, SeqSpanState& state,
+                        trace::SequentialityStats& stats);
 
 }  // namespace replay_detail
 
@@ -411,9 +395,9 @@ MissRateResult replay_missrate(const ReplayPlan& plan, ICache& cache,
                                    nullptr);
 trace::SequentialityStats replay_sequentiality(const ReplayPlan& plan);
 
-// Streaming replay over an on-disk trace: chunks decode one at a time into
-// a reused buffer and (for mapped files) drop their pages behind the pass,
-// so peak resident memory is bounded by one chunk rather than the trace.
+// Streaming replay over an on-disk trace: chunks are read and decoded one at
+// a time into a reused buffer, so peak resident memory is bounded by one
+// chunk rather than the trace.
 // Counters are bit-identical to replaying the fully-loaded trace — the same
 // span kernels run over the same event sequence. `tables` may be null
 // (address math from `meta`, the interp-equivalent configuration). Each
@@ -421,10 +405,8 @@ trace::SequentialityStats replay_sequentiality(const ReplayPlan& plan);
 // corrupt trace surfaces as a clean Status, never unchecked indexing.
 Result<MissRateResult> replay_missrate_streamed(
     const trace::TraceReader& reader, const BlockMetaTable& meta,
-    const CompiledTable* tables, ICache& cache,
-    ReplayKernel kernel = ReplayKernel::kSimd);
+    const CompiledTable* tables, ICache& cache);
 Result<trace::SequentialityStats> replay_sequentiality_streamed(
-    const trace::TraceReader& reader, const BlockMetaTable& meta,
-    ReplayKernel kernel = ReplayKernel::kSimd);
+    const trace::TraceReader& reader, const BlockMetaTable& meta);
 
 }  // namespace stc::sim

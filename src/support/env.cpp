@@ -284,15 +284,6 @@ Result<bool> zero_timings() {
                                 "': expected 0 or 1");
 }
 
-Result<bool> mmap_enabled() {
-  const char* value = std::getenv("STC_MMAP");
-  if (value == nullptr) return true;
-  const std::string v(value);
-  if (v == "0") return false;
-  if (v == "1" || v == "") return true;
-  return invalid_argument_error("STC_MMAP='" + v + "': expected 0 or 1");
-}
-
 Status validate_all() {
   if (Status s = threads().status(); !s.is_ok()) return s;
   if (Status s = scale_factor().status(); !s.is_ok()) return s;
@@ -314,7 +305,6 @@ Status validate_all() {
   if (Status s = job_retries().status(); !s.is_ok()) return s;
   if (Status s = resume().status(); !s.is_ok()) return s;
   if (Status s = zero_timings().status(); !s.is_ok()) return s;
-  if (Status s = mmap_enabled().status(); !s.is_ok()) return s;
   if (const char* spec = std::getenv("STC_FAULT")) {
     if (Status s = fault::validate_spec(spec); !s.is_ok()) {
       return s.with_context("STC_FAULT");

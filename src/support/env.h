@@ -99,10 +99,6 @@ Result<bool> resume();
 // byte-deterministic (the crash harness compares whole files). Default 0.
 Result<bool> zero_timings();
 
-// STC_MMAP: 0/1 — stream on-disk traces through mmap (TraceReader falls
-// back to buffered reads when mapping fails). Default 1.
-Result<bool> mmap_enabled();
-
 // Parses every knob above plus the STC_FAULT spec syntax; returns the first
 // error. Cheap — pure parsing, no filesystem work beyond one stat.
 Status validate_all();

@@ -1,14 +1,10 @@
 #include "support/io.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <utility>
 
 #include "support/faultpoint.h"
 
@@ -104,82 +100,6 @@ Result<std::vector<std::uint8_t>> read_file(const std::string& path) {
   std::fclose(f);
   if (failed) return io_error("read failed on '" + path + "'");
   return bytes;
-}
-
-MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
-  if (this == &other) return *this;
-  if (map_base_ != nullptr) ::munmap(map_base_, map_length_);
-  data_ = other.data_;
-  size_ = other.size_;
-  map_base_ = other.map_base_;
-  map_length_ = other.map_length_;
-  buffer_ = std::move(other.buffer_);
-  if (map_base_ == nullptr && size_ > 0) data_ = buffer_.data();
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.map_base_ = nullptr;
-  other.map_length_ = 0;
-  return *this;
-}
-
-MappedFile::~MappedFile() {
-  if (map_base_ != nullptr) ::munmap(map_base_, map_length_);
-}
-
-Result<MappedFile> MappedFile::open(const std::string& path, bool want_map,
-                                    std::string_view map_fault_point) {
-  MappedFile file;
-  if (want_map) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) return not_found_error("cannot open '" + path + "'");
-    struct stat st = {};
-    const bool stat_ok = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
-    Status injected;
-    if (stat_ok && !map_fault_point.empty()) {
-      injected = fault::fail_if(std::string(map_fault_point), "mapping " + path);
-    }
-    if (stat_ok && injected.is_ok()) {
-      if (st.st_size == 0) {
-        // A zero-byte mmap is invalid; an empty view needs no backing store.
-        ::close(fd);
-        return file;
-      }
-      void* base = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                          PROT_READ, MAP_PRIVATE, fd, 0);
-      if (base != MAP_FAILED) {
-        ::close(fd);
-        file.map_base_ = base;
-        file.map_length_ = static_cast<std::size_t>(st.st_size);
-        file.data_ = static_cast<const std::uint8_t*>(base);
-        file.size_ = file.map_length_;
-        return file;
-      }
-    }
-    ::close(fd);
-    // Fall through to the buffered path: same bytes, no map.
-  }
-  Result<std::vector<std::uint8_t>> bytes = read_file(path);
-  if (!bytes.is_ok()) return bytes.status();
-  file.buffer_ = std::move(bytes).take();
-  file.data_ = file.buffer_.data();
-  file.size_ = file.buffer_.size();
-  return file;
-}
-
-void MappedFile::release(std::size_t offset, std::size_t length) const {
-  if (map_base_ == nullptr || length == 0) return;
-  if (offset > map_length_ || map_length_ - offset < length) return;
-  // Grow the range *outward* to a 2 MB granule. MADV_DONTNEED on a read-only
-  // file mapping is non-destructive (dropped pages re-fault from the page
-  // cache), so over-dropping neighbours is safe — and necessary: the kernel
-  // backs readahead with large folios and quietly skips folios the range
-  // only partially covers, so page-granular releases leak most of the file.
-  constexpr std::size_t kGranule = 2u << 20;
-  const std::size_t begin = offset / kGranule * kGranule;
-  std::size_t end = (offset + length + kGranule - 1) / kGranule * kGranule;
-  if (end > map_length_) end = map_length_;
-  ::madvise(const_cast<std::uint8_t*>(data_) + begin, end - begin,
-            MADV_DONTNEED);
 }
 
 }  // namespace stc

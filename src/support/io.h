@@ -1,4 +1,4 @@
-// Crash-safe file I/O for reports and trace caches.
+// Crash-safe file I/O for reports, journals and traces.
 //
 // write_file_atomic writes to <path>.tmp and renames over <path>, so readers
 // never observe a torn file: either the old content survives or the new
@@ -6,11 +6,8 @@
 // <prefix>.write, <prefix>.rename) so tests and STC_FAULT can prove the
 // no-torn-file property; on any failure the temp file is removed.
 //
-// MappedFile gives large read-only files (streamed traces) a zero-copy view:
-// it mmaps when it can and degrades to a buffered read_file when it cannot —
-// the caller sees the same bytes either way and only mapped() tells them
-// apart. The mmap attempt runs through a caller-named fault point so tests
-// can force the fallback path.
+// read_file reads a small file whole (BlockTrace::load, the journal). Traces
+// too large for that stream chunk by chunk through trace::TraceReader.
 #pragma once
 
 #include <cstddef>
@@ -49,41 +46,5 @@ void unlink_signal_cleanup_paths();
 // Reads the whole file; kNotFound when it cannot be opened, kIoError on a
 // short or failed read.
 Result<std::vector<std::uint8_t>> read_file(const std::string& path);
-
-// A read-only view of a whole file: an mmap when the kernel grants one, a
-// heap buffer otherwise. Move-only; the view lives until destruction.
-class MappedFile {
- public:
-  MappedFile() = default;
-  MappedFile(MappedFile&& other) noexcept { *this = std::move(other); }
-  MappedFile& operator=(MappedFile&& other) noexcept;
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-  ~MappedFile();
-
-  // Opens `path`. With `want_map` the file is mmapped (read-only, private);
-  // if the map fails — including an injected fault at `map_fault_point`,
-  // when non-empty — the open silently falls back to a buffered read.
-  // Errors (missing file, failed read) surface as not-found/io-error.
-  static Result<MappedFile> open(const std::string& path, bool want_map = true,
-                                 std::string_view map_fault_point = {});
-
-  const std::uint8_t* data() const { return data_; }
-  std::size_t size() const { return size_; }
-  // True when the bytes come from a live mmap (release() then has effect).
-  bool mapped() const { return map_base_ != nullptr; }
-
-  // Tells the kernel the given byte range will not be needed again, so a
-  // single sequential pass over a mapped file keeps resident memory bounded.
-  // No-op for buffered opens and out-of-range requests.
-  void release(std::size_t offset, std::size_t length) const;
-
- private:
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-  void* map_base_ = nullptr;          // non-null only for a real mmap
-  std::size_t map_length_ = 0;
-  std::vector<std::uint8_t> buffer_;  // backing store for the fallback
-};
 
 }  // namespace stc

@@ -1,6 +1,8 @@
 #include "trace/block_trace.h"
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "support/check.h"
 #include "support/crc32.h"
@@ -12,45 +14,14 @@
 namespace stc::trace {
 namespace {
 
-using format::get_u64;
 using format::kChunkHeaderBytes;
 using format::kChunkTargetBytes;
 using format::kHeaderBytes;
 using format::kIndexEntryBytes;
 using format::kIndexMagic;
 using format::kMagic;
-using format::kTrailerBytes;
 using format::kVersion;
-using format::kVersionV2;
 using format::put_u64;
-
-// Decodes one chunk's delta stream, validating every varint and the running
-// block id; returns the number of events or a corrupt-data error. On success
-// *final_id is the chunk's last decoded block id (the encoder delta base a
-// later append must continue from).
-Result<std::uint64_t> validate_chunk(const std::vector<std::uint8_t>& chunk,
-                                     std::int64_t* final_id) {
-  std::size_t pos = 0;
-  std::int64_t last_id = 0;
-  std::uint64_t events = 0;
-  while (pos < chunk.size()) {
-    std::int64_t delta = 0;
-    if (!try_get_svarint(chunk.data(), chunk.size(), pos, delta)) {
-      return corrupt_data_error("malformed varint at chunk offset " +
-                                std::to_string(pos));
-    }
-    last_id += delta;
-    if (last_id < 0 ||
-        last_id >= static_cast<std::int64_t>(cfg::kInvalidBlock)) {
-      return corrupt_data_error("block id " + std::to_string(last_id) +
-                                " out of range at chunk offset " +
-                                std::to_string(pos));
-    }
-    ++events;
-  }
-  *final_id = last_id;
-  return events;
-}
 
 }  // namespace
 
@@ -181,142 +152,33 @@ std::vector<std::uint8_t> BlockTrace::serialize() const {
 
 Result<BlockTrace> BlockTrace::deserialize(const std::uint8_t* data,
                                            std::size_t size) {
-  if (Status s = fault::fail_if("trace.load.header", "reading header");
+  Result<format::Layout> header = format::parse_header(data, size);
+  if (!header.is_ok()) return header.status();
+  format::Layout layout = std::move(header).take();
+  if (Status s = format::parse_footer(data + layout.footer_offset, layout);
       !s.is_ok()) {
     return s;
   }
-  if (size < kHeaderBytes) {
-    return corrupt_data_error("file too small (" + std::to_string(size) +
-                              " bytes) for a trace header");
-  }
-  if (get_u64(data) != kMagic) {
-    return corrupt_data_error("bad magic (not a trace file)");
-  }
-  const std::uint64_t version = get_u64(data + 8);
-  if (version != kVersion && version != kVersionV2) {
-    return corrupt_data_error("unsupported trace version " +
-                              std::to_string(version) + " (expected " +
-                              std::to_string(kVersionV2) + " or " +
-                              std::to_string(kVersion) + ")");
-  }
   BlockTrace trace;
-  trace.num_events_ = get_u64(data + 16);
-  const std::uint64_t num_chunks = get_u64(data + 24);
-  if (num_chunks > (size - kHeaderBytes) / kChunkHeaderBytes) {
-    return corrupt_data_error("chunk count " + std::to_string(num_chunks) +
-                              " exceeds file size");
-  }
-  // Version 3 ends with a seekable index footer; locate and checksum it
-  // before walking the chunks so the walk knows where the chunk region ends
-  // and each chunk can be cross-checked against its index entry.
-  std::size_t body_end = size;
-  const std::uint8_t* index = nullptr;
-  if (version == kVersion) {
-    const std::size_t footer = format::footer_bytes(num_chunks);
-    if (size < kHeaderBytes + footer) {
-      return corrupt_data_error("file too small for a " +
-                                std::to_string(num_chunks) +
-                                "-chunk index footer");
-    }
-    const std::uint8_t* trailer = data + size - kTrailerBytes;
-    if (get_u64(trailer + 24) != kIndexMagic) {
-      return corrupt_data_error("bad index footer magic");
-    }
-    const std::uint64_t index_offset = get_u64(trailer);
-    const std::uint64_t stated_chunks = get_u64(trailer + 8);
-    const std::uint64_t stated_index_crc = get_u64(trailer + 16);
-    if (stated_chunks != num_chunks) {
-      return corrupt_data_error(
-          "index footer lists " + std::to_string(stated_chunks) +
-          " chunks but header says " + std::to_string(num_chunks));
-    }
-    if (index_offset != size - footer) {
-      return corrupt_data_error("index footer offset " +
-                                std::to_string(index_offset) +
-                                " does not match the file layout");
-    }
-    if (stated_index_crc > 0xFFFFFFFFull) {
-      return corrupt_data_error("index footer crc field out of range");
-    }
-    index = data + index_offset;
-    const std::uint32_t actual_index_crc =
-        crc32(index, num_chunks * kIndexEntryBytes);
-    if (actual_index_crc != static_cast<std::uint32_t>(stated_index_crc)) {
-      return corrupt_data_error(
-          "index footer crc mismatch (stored " +
-          std::to_string(stated_index_crc) + ", computed " +
-          std::to_string(actual_index_crc) + ")");
-    }
-    body_end = static_cast<std::size_t>(index_offset);
-  }
-  std::size_t pos = kHeaderBytes;
-  std::uint64_t total_events = 0;
-  trace.chunks_.reserve(num_chunks);
-  for (std::uint64_t i = 0; i < num_chunks; ++i) {
-    const std::string where = "chunk " + std::to_string(i);
-    if (Status s = fault::fail_if("trace.load.chunk", "reading " + where);
+  trace.num_events_ = layout.num_events;
+  trace.chunks_.reserve(layout.chunks.size());
+  std::vector<cfg::BlockId> ids;
+  for (std::size_t i = 0; i < layout.chunks.size(); ++i) {
+    if (Status s = fault::fail_if("trace.load.chunk",
+                                  "reading chunk " + std::to_string(i));
         !s.is_ok()) {
       return s;
     }
-    if (body_end - pos < kChunkHeaderBytes) {
-      return corrupt_data_error(where + ": truncated chunk header");
+    const format::ChunkEntry& entry = layout.chunks[i];
+    const std::uint8_t* chunk = data + entry.offset - kChunkHeaderBytes;
+    ids.clear();
+    if (Status s = format::check_chunk(i, entry, chunk, ids); !s.is_ok()) {
+      return s;
     }
-    const std::uint64_t payload_size = get_u64(data + pos);
-    const std::uint64_t stated_events = get_u64(data + pos + 8);
-    const std::uint64_t stated_crc = get_u64(data + pos + 16);
-    pos += kChunkHeaderBytes;
-    if (payload_size > body_end - pos) {
-      return corrupt_data_error(where + ": payload of " +
-                                std::to_string(payload_size) +
-                                " bytes runs past " +
-                                (index != nullptr ? "the index footer"
-                                                  : "end of file"));
-    }
-    if (stated_crc > 0xFFFFFFFFull) {
-      return corrupt_data_error(where + ": crc field out of range");
-    }
-    if (index != nullptr) {
-      // The index entry must agree with the chunk it points at; any
-      // disagreement means either the entry or the chunk header is corrupt.
-      const std::uint8_t* entry = index + i * kIndexEntryBytes;
-      if (get_u64(entry) != pos || get_u64(entry + 8) != payload_size ||
-          get_u64(entry + 16) != stated_events ||
-          get_u64(entry + 24) != stated_crc) {
-        return corrupt_data_error(where +
-                                  ": index entry disagrees with chunk header");
-      }
-    }
-    std::vector<std::uint8_t> chunk(data + pos, data + pos + payload_size);
-    pos += payload_size;
-    const std::uint32_t actual_crc = crc32(chunk.data(), chunk.size());
-    if (actual_crc != static_cast<std::uint32_t>(stated_crc)) {
-      return corrupt_data_error(where + ": crc mismatch (stored " +
-                                std::to_string(stated_crc) + ", computed " +
-                                std::to_string(actual_crc) + ")");
-    }
-    std::int64_t final_id = 0;
-    Result<std::uint64_t> decoded = validate_chunk(chunk, &final_id);
-    if (!decoded.is_ok()) {
-      return decoded.status().with_context(where);
-    }
-    trace.last_id_ = final_id;  // appends continue the last chunk's base
-    if (decoded.value() != stated_events) {
-      return corrupt_data_error(
-          where + ": decodes to " + std::to_string(decoded.value()) +
-          " events but header says " + std::to_string(stated_events));
-    }
-    total_events += decoded.value();
-    trace.chunks_.push_back(std::move(chunk));
-  }
-  if (pos != body_end) {
-    return corrupt_data_error(
-        std::to_string(body_end - pos) + " trailing bytes after last chunk" +
-        (index != nullptr ? " (before the index footer)" : ""));
-  }
-  if (total_events != trace.num_events_) {
-    return corrupt_data_error("chunks hold " + std::to_string(total_events) +
-                              " events but header says " +
-                              std::to_string(trace.num_events_));
+    // Appends continue from the last chunk's final id (its delta base).
+    trace.last_id_ = ids.empty() ? 0 : ids.back();
+    const std::uint8_t* payload = chunk + kChunkHeaderBytes;
+    trace.chunks_.emplace_back(payload, payload + entry.size);
   }
   return trace;
 }

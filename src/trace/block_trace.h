@@ -12,12 +12,12 @@
 // corruption: every header field is bounds-checked against the file size,
 // each chunk carries a CRC32 and its event count, and every varint is
 // decoded with overflow and truncation checks before the trace is accepted.
-// Version 3 adds a seekable per-chunk index footer (offset, byte length,
-// event count, CRC per chunk) so trace_io.h can stream chunks straight off
-// an mmap without materializing the trace; version 2 files (no footer) keep
-// loading bit-identically. load()/deserialize() return a structured error
-// for any malformed input — a corrupt cache file can never abort the process
-// or replay a silently wrong stream (the `stc_fuzz --trace-bytes` mode flips
+// A seekable per-chunk index footer (offset, byte length, event count, CRC
+// per chunk) lets trace_io.h read one chunk at a time without materializing
+// the trace; both readers share format::parse_header/parse_footer/
+// check_chunk. load()/deserialize() return a structured error for any
+// malformed input — a corrupt cache file can never abort the process or
+// replay a silently wrong stream (the `stc_fuzz --trace-bytes` mode flips
 // every byte to prove it).
 #pragma once
 
@@ -63,8 +63,7 @@ class BlockTrace {
   // footer; all integers little-endian u64. serialize/deserialize work on
   // in-memory buffers (the fuzz harness); save writes atomically (temp file
   // + rename, fault prefix "trace.save"), load reads and validates end to
-  // end (fault prefix "trace.load"). deserialize accepts versions 2 and 3;
-  // serialize always emits version 3.
+  // end (fault prefix "trace.load"). Only version 3 is read or written.
   std::vector<std::uint8_t> serialize() const;
   static Result<BlockTrace> deserialize(const std::uint8_t* data,
                                         std::size_t size);

@@ -1,236 +1,139 @@
 #include "trace/trace_io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 
 #include "support/check.h"
 #include "support/crc32.h"
-#include "support/env.h"
 #include "support/faultpoint.h"
 #include "support/varint.h"
-#include "trace/trace_format.h"
 
 namespace stc::trace {
 namespace {
 
-using format::get_u64;
 using format::kChunkHeaderBytes;
 using format::kChunkTargetBytes;
 using format::kHeaderBytes;
-using format::kIndexEntryBytes;
 using format::kIndexMagic;
 using format::kMagic;
-using format::kTrailerBytes;
 using format::kVersion;
-using format::kVersionV2;
 using format::put_u64;
+
+// Reads exactly `size` bytes at `offset`. A file that ends early (one
+// truncated after open included) is an I/O error, never a partial buffer.
+Status pread_exact(int fd, std::uint64_t offset, std::uint8_t* data,
+                   std::size_t size) {
+  std::size_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::pread(fd, data + done, size - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      return io_error(std::string("read failed: ") + std::strerror(errno));
+    }
+    if (n == 0) {
+      return io_error("short read: " + std::to_string(done) + " of " +
+                      std::to_string(size) + " bytes at offset " +
+                      std::to_string(offset));
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  return Status::ok();
+}
 
 }  // namespace
 
+TraceReader& TraceReader::operator=(TraceReader&& other) noexcept {
+  if (this == &other) return *this;
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = other.fd_;
+  path_ = std::move(other.path_);
+  file_bytes_ = other.file_bytes_;
+  layout_ = std::move(other.layout_);
+  other.fd_ = -1;
+  return *this;
+}
+
+TraceReader::~TraceReader() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
 std::uint64_t TraceReader::chunk_events(std::size_t index) const {
-  STC_REQUIRE(index < chunks_.size());
-  return chunks_[index].events;
+  STC_REQUIRE(index < layout_.chunks.size());
+  return layout_.chunks[index].events;
 }
 
 Result<TraceReader> TraceReader::open(const std::string& path) {
-  const Result<bool> use_map = env::mmap_enabled();
-  return open(path, use_map.is_ok() ? use_map.value() : true);
-}
-
-Result<TraceReader> TraceReader::open(const std::string& path, bool want_map) {
   const std::string context = "trace '" + path + "'";
   if (Status s = fault::fail_if("trace.load.open", "opening " + path);
       !s.is_ok()) {
     return s.with_context(context);
   }
-  Result<MappedFile> file = MappedFile::open(path, want_map, "trace.mmap.open");
-  if (!file.is_ok()) return file.status().with_context(context);
-
   TraceReader reader;
-  reader.file_ = std::move(file).take();
-  const std::uint8_t* data = reader.file_.data();
-  const std::size_t size = reader.file_.size();
+  reader.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (reader.fd_ < 0) {
+    return not_found_error("cannot open '" + path + "'").with_context(context);
+  }
+  reader.path_ = path;
+  struct stat st = {};
+  if (::fstat(reader.fd_, &st) != 0 || !S_ISREG(st.st_mode)) {
+    return io_error("not a readable regular file").with_context(context);
+  }
+  reader.file_bytes_ = static_cast<std::uint64_t>(st.st_size);
 
-  const auto corrupt = [&context](const std::string& what) {
-    return corrupt_data_error(what).with_context(context);
-  };
-  if (Status s = fault::fail_if("trace.load.header", "reading header");
+  std::uint8_t header[kHeaderBytes] = {};
+  const std::size_t header_bytes = static_cast<std::size_t>(
+      std::min<std::uint64_t>(reader.file_bytes_, kHeaderBytes));
+  if (Status s = pread_exact(reader.fd_, 0, header, header_bytes);
       !s.is_ok()) {
     return s.with_context(context);
   }
-  if (size < kHeaderBytes) {
-    return corrupt("file too small (" + std::to_string(size) +
-                   " bytes) for a trace header");
+  Result<format::Layout> layout =
+      format::parse_header(header, reader.file_bytes_);
+  if (!layout.is_ok()) return layout.status().with_context(context);
+  reader.layout_ = std::move(layout).take();
+  std::vector<std::uint8_t> footer(
+      format::footer_bytes(reader.layout_.num_chunks));
+  if (Status s = pread_exact(reader.fd_, reader.layout_.footer_offset,
+                             footer.data(), footer.size());
+      !s.is_ok()) {
+    return s.with_context(context);
   }
-  if (get_u64(data) != kMagic) {
-    return corrupt("bad magic (not a trace file)");
-  }
-  reader.version_ = get_u64(data + 8);
-  if (reader.version_ != kVersion && reader.version_ != kVersionV2) {
-    return corrupt("unsupported trace version " +
-                   std::to_string(reader.version_));
-  }
-  reader.num_events_ = get_u64(data + 16);
-  const std::uint64_t num_chunks = get_u64(data + 24);
-  if (num_chunks > (size - kHeaderBytes) / kChunkHeaderBytes) {
-    return corrupt("chunk count " + std::to_string(num_chunks) +
-                   " exceeds file size");
-  }
-  reader.chunks_.reserve(num_chunks);
-  std::uint64_t total_events = 0;
-
-  if (reader.version_ == kVersion) {
-    // Version 3: the index footer locates every chunk, so the open touches
-    // only the header and footer pages — that is what makes seeking and
-    // streaming cheap (even reading the 24-byte chunk headers here would
-    // fault in the whole file through readahead). Entries must tile the
-    // chunk region exactly; agreement with the on-disk chunk header is
-    // checked lazily in decode_chunk, which touches that page anyway.
-    const std::size_t footer = format::footer_bytes(num_chunks);
-    if (size < kHeaderBytes + footer) {
-      return corrupt("file too small for a " + std::to_string(num_chunks) +
-                     "-chunk index footer");
-    }
-    const std::uint8_t* trailer = data + size - kTrailerBytes;
-    if (get_u64(trailer + 24) != kIndexMagic) {
-      return corrupt("bad index footer magic");
-    }
-    const std::uint64_t index_offset = get_u64(trailer);
-    const std::uint64_t stated_chunks = get_u64(trailer + 8);
-    const std::uint64_t stated_index_crc = get_u64(trailer + 16);
-    if (stated_chunks != num_chunks) {
-      return corrupt("index footer lists " + std::to_string(stated_chunks) +
-                     " chunks but header says " + std::to_string(num_chunks));
-    }
-    if (index_offset != size - footer) {
-      return corrupt("index footer offset " + std::to_string(index_offset) +
-                     " does not match the file layout");
-    }
-    const std::uint8_t* index = data + index_offset;
-    const std::uint32_t actual_index_crc =
-        crc32(index, num_chunks * kIndexEntryBytes);
-    if (stated_index_crc > 0xFFFFFFFFull ||
-        actual_index_crc != static_cast<std::uint32_t>(stated_index_crc)) {
-      return corrupt("index footer crc mismatch");
-    }
-    std::uint64_t expect_offset = kHeaderBytes + kChunkHeaderBytes;
-    for (std::uint64_t i = 0; i < num_chunks; ++i) {
-      const std::uint8_t* entry = index + i * kIndexEntryBytes;
-      ChunkRef ref;
-      ref.offset = get_u64(entry);
-      ref.size = get_u64(entry + 8);
-      ref.events = get_u64(entry + 16);
-      ref.crc = get_u64(entry + 24);
-      const std::string where = "chunk " + std::to_string(i);
-      if (ref.offset != expect_offset || ref.size > index_offset ||
-          ref.offset + ref.size > index_offset) {
-        return corrupt(where + ": index entry does not tile the chunk region");
-      }
-      expect_offset = ref.offset + ref.size + kChunkHeaderBytes;
-      total_events += ref.events;
-      reader.chunks_.push_back(ref);
-    }
-    if (expect_offset - kChunkHeaderBytes != index_offset) {
-      return corrupt("stray bytes between last chunk and index footer");
-    }
-  } else {
-    // Version 2 has no footer: build the chunk table by walking the chunk
-    // headers (payloads are skipped, not validated — that stays per-chunk).
-    std::size_t pos = kHeaderBytes;
-    for (std::uint64_t i = 0; i < num_chunks; ++i) {
-      const std::string where = "chunk " + std::to_string(i);
-      if (size - pos < kChunkHeaderBytes) {
-        return corrupt(where + ": truncated chunk header");
-      }
-      ChunkRef ref;
-      ref.size = get_u64(data + pos);
-      ref.events = get_u64(data + pos + 8);
-      ref.crc = get_u64(data + pos + 16);
-      pos += kChunkHeaderBytes;
-      if (ref.size > size - pos) {
-        return corrupt(where + ": payload of " + std::to_string(ref.size) +
-                       " bytes runs past end of file");
-      }
-      ref.offset = pos;
-      pos += ref.size;
-      total_events += ref.events;
-      reader.chunks_.push_back(ref);
-    }
-    if (pos != size) {
-      return corrupt(std::to_string(size - pos) +
-                     " trailing bytes after last chunk");
-    }
-  }
-  if (total_events != reader.num_events_) {
-    return corrupt("chunks hold " + std::to_string(total_events) +
-                   " events but header says " +
-                   std::to_string(reader.num_events_));
+  if (Status s = format::parse_footer(footer.data(), reader.layout_);
+      !s.is_ok()) {
+    return s.with_context(context);
   }
   return reader;
 }
 
 Result<std::size_t> TraceReader::decode_chunk(
     std::size_t index, std::vector<cfg::BlockId>& out) const {
-  STC_REQUIRE(index < chunks_.size());
-  const ChunkRef& ref = chunks_[index];
-  const std::string where = "chunk " + std::to_string(index);
-  const std::uint8_t* payload = file_.data() + ref.offset;
-  if (version_ == kVersion) {
-    // Deferred from open(): the index entry (already CRC-checked there) must
-    // agree with the chunk's own header. Checking it here keeps open() from
-    // faulting in one page per chunk.
-    const std::uint8_t* header = payload - kChunkHeaderBytes;
-    if (get_u64(header) != ref.size || get_u64(header + 8) != ref.events ||
-        get_u64(header + 16) != ref.crc) {
-      return corrupt_data_error(where +
-                                ": index entry disagrees with chunk header");
-    }
+  STC_REQUIRE(index < layout_.chunks.size());
+  const format::ChunkEntry& entry = layout_.chunks[index];
+  // One read buffer per thread, reused chunk after chunk: a pass allocates
+  // once, and concurrent callers never share a buffer.
+  thread_local std::vector<std::uint8_t> chunk;
+  chunk.resize(kChunkHeaderBytes + static_cast<std::size_t>(entry.size));
+  if (Status s = pread_exact(fd_, entry.offset - kChunkHeaderBytes,
+                             chunk.data(), chunk.size());
+      !s.is_ok()) {
+    return s.with_context("chunk " + std::to_string(index) + " of '" + path_ +
+                          "'");
   }
-  const std::uint32_t actual_crc =
-      crc32(payload, static_cast<std::size_t>(ref.size));
-  if (ref.crc > 0xFFFFFFFFull ||
-      actual_crc != static_cast<std::uint32_t>(ref.crc)) {
-    return corrupt_data_error(where + ": crc mismatch (stored " +
-                              std::to_string(ref.crc) + ", computed " +
-                              std::to_string(actual_crc) + ")");
+  const std::size_t before = out.size();
+  if (Status s = format::check_chunk(index, entry, chunk.data(), out);
+      !s.is_ok()) {
+    return s;
   }
-  std::vector<cfg::BlockId> ids;
-  ids.reserve(static_cast<std::size_t>(ref.events));
-  std::size_t pos = 0;
-  std::int64_t last_id = 0;  // every chunk restarts the delta base
-  while (pos < ref.size) {
-    std::int64_t delta = 0;
-    if (!try_get_svarint(payload, static_cast<std::size_t>(ref.size), pos,
-                         delta)) {
-      return corrupt_data_error(where + ": malformed varint at chunk offset " +
-                                std::to_string(pos));
-    }
-    last_id += delta;
-    if (last_id < 0 ||
-        last_id >= static_cast<std::int64_t>(cfg::kInvalidBlock)) {
-      return corrupt_data_error(where + ": block id " +
-                                std::to_string(last_id) +
-                                " out of range at chunk offset " +
-                                std::to_string(pos));
-    }
-    ids.push_back(static_cast<cfg::BlockId>(last_id));
-  }
-  if (ids.size() != ref.events) {
-    return corrupt_data_error(where + ": decodes to " +
-                              std::to_string(ids.size()) +
-                              " events but index says " +
-                              std::to_string(ref.events));
-  }
-  out.insert(out.end(), ids.begin(), ids.end());
-  return ids.size();
-}
-
-void TraceReader::release_chunk(std::size_t index) const {
-  STC_REQUIRE(index < chunks_.size());
-  const ChunkRef& ref = chunks_[index];
-  file_.release(static_cast<std::size_t>(ref.offset) - kChunkHeaderBytes,
-                static_cast<std::size_t>(ref.size) + kChunkHeaderBytes);
+  return out.size() - before;
 }
 
 TraceFileWriter& TraceFileWriter::operator=(TraceFileWriter&& other) noexcept {

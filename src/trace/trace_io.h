@@ -2,16 +2,15 @@
 //
 // BlockTrace::load() materializes the whole event stream in memory; that is
 // fine for the paper's traces but not for production-scale ones. TraceReader
-// opens a version-2 or version-3 trace file as a read-only view (mmap when
-// the kernel grants one — see STC_MMAP — buffered otherwise), validates only
-// the header and the version-3 index footer up front, and decodes chunks on
-// demand: a sequential pass touches one chunk at a time and can drop each
-// chunk's pages behind itself, so peak resident memory stays bounded by the
-// chunk size rather than the trace size.
+// opens a version-3 trace file, reads and validates only its header and
+// index footer up front, and then reads chunks on demand: decode_chunk()
+// preads one chunk at the offset its index entry gives into a local buffer,
+// so resident memory stays bounded by one chunk whatever the trace size.
 //
 // Validation is per chunk: decode_chunk() CRC-checks and varint-validates
-// exactly the chunk it touches, so corruption in one chunk is a clean
-// corrupt-data Status that leaves every other chunk readable.
+// exactly the chunk it reads, so corruption in one chunk — or a file
+// truncated after open — is a clean Status naming that chunk and leaves
+// every other chunk readable.
 //
 // TraceFileWriter is the producer side: events stream to disk through a
 // bounded chunk buffer and finalize() writes the index footer and renames
@@ -23,56 +22,50 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cfg/types.h"
 #include "support/error.h"
-#include "support/io.h"
+#include "trace/trace_format.h"
 
 namespace stc::trace {
 
+// A read-only handle on one trace file. Owns the file descriptor: move-only,
+// closed on destruction. It keeps no file position (every read is a pread),
+// so decode_chunk is safe to call from several threads at once.
 class TraceReader {
  public:
-  // Opens and validates `path`'s header (and, for version 3, its index
-  // footer). `want_map` requests an mmap view; the open falls back to a
-  // buffered read when mapping fails, including an injected fault at the
-  // "trace.mmap.open" fault point. The single-argument overload takes
-  // `want_map` from the STC_MMAP env knob (default on). Fault prefix
+  // Opens `path` and validates its header and index footer. Fault prefix
   // "trace.load" covers the open and header steps, mirroring
   // BlockTrace::load().
   static Result<TraceReader> open(const std::string& path);
-  static Result<TraceReader> open(const std::string& path, bool want_map);
 
-  std::uint64_t num_events() const { return num_events_; }
-  std::size_t num_chunks() const { return chunks_.size(); }
+  TraceReader(TraceReader&& other) noexcept { *this = std::move(other); }
+  TraceReader& operator=(TraceReader&& other) noexcept;
+  TraceReader(const TraceReader&) = delete;
+  TraceReader& operator=(const TraceReader&) = delete;
+  ~TraceReader();
+
+  std::uint64_t num_events() const { return layout_.num_events; }
+  std::size_t num_chunks() const { return layout_.chunks.size(); }
   std::uint64_t chunk_events(std::size_t index) const;
-  std::uint64_t file_bytes() const { return file_.size(); }
-  std::uint64_t version() const { return version_; }
-  // True when the file is served by a live mmap (release_chunk then works).
-  bool using_mmap() const { return file_.mapped(); }
+  std::uint64_t file_bytes() const { return file_bytes_; }
 
-  // CRC-checks and decodes chunk `index`, appending its block ids to `out`;
-  // returns the event count. Corruption is a clean corrupt-data Status
-  // naming the chunk; `out` is left untouched on failure.
+  // Reads, CRC-checks and decodes chunk `index`, appending its block ids to
+  // `out`; returns the event count. Corruption or a short read is a clean
+  // Status naming the chunk; `out` is left untouched on failure.
   Result<std::size_t> decode_chunk(std::size_t index,
                                    std::vector<cfg::BlockId>& out) const;
 
-  // Drops the chunk's mapped pages (no-op for buffered opens), keeping a
-  // sequential pass's resident set bounded by one chunk.
-  void release_chunk(std::size_t index) const;
+  // Empty reader (Result<T> needs it); only open() yields a usable one.
+  TraceReader() = default;
 
  private:
-  struct ChunkRef {
-    std::uint64_t offset;  // absolute file offset of the payload
-    std::uint64_t size;    // payload bytes
-    std::uint64_t events;
-    std::uint64_t crc;
-  };
-
-  MappedFile file_;
-  std::uint64_t num_events_ = 0;
-  std::uint64_t version_ = 0;
-  std::vector<ChunkRef> chunks_;
+  int fd_ = -1;
+  std::string path_;
+  std::uint64_t file_bytes_ = 0;
+  format::Layout layout_;
 };
 
 // Streams events to `path` in the version-3 format without buffering more

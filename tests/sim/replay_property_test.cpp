@@ -184,7 +184,6 @@ TEST(CompiledTableTest, DeterministicAcrossThreadCounts) {
       fp.push_back(meta.insns(b));
       fp.push_back(table.first_line(b));
       fp.push_back(table.last_line(b));
-      fp.push_back(table.word_index(b));
     }
     return fp;
   };

@@ -1,6 +1,6 @@
-// Streaming + SIMD replay: the 8-wide span kernels must match the scalar
-// ones bit for bit on every span length (vector body and tail alike), spans
-// must compose through the carried state exactly like one flat pass, and the
+// Span kernels and streamed replay: the compiled line tables must match the
+// table-free meta line math bit for bit on every span length, spans must
+// compose through the carried state exactly like one flat pass, and the
 // streamed entry points over an on-disk trace must reproduce the in-memory
 // replay counters.
 #include <gtest/gtest.h>
@@ -58,80 +58,68 @@ class ReplayStreamTest : public ::testing::Test {
 MissRateResult run_miss_span(const ReplayPlan& plan, const CompiledTable* t,
                              const CacheGeometry& geom,
                              const std::vector<cfg::BlockId>& events,
-                             std::size_t n, ReplayKernel kernel,
+                             std::size_t n,
                              std::vector<std::uint64_t>* per_block) {
   ICache cache(geom);
   replay_detail::MissSpanState state;
   MissRateResult result;
   replay_detail::missrate_span(events.data(), n, plan.meta(), t,
                                t ? t->line_bytes() : geom.line_bytes, cache,
-                               per_block, kernel, state, result);
+                               per_block, state, result);
   return result;
 }
 
 trace::SequentialityStats run_seq_span(const ReplayPlan& plan,
                                        const std::vector<cfg::BlockId>& events,
-                                       std::size_t n, ReplayKernel kernel) {
+                                       std::size_t n) {
   replay_detail::SeqSpanState state;
   trace::SequentialityStats stats;
-  replay_detail::sequentiality_span(events.data(), n, plan.meta(), kernel,
-                                    state, stats);
+  replay_detail::sequentiality_span(events.data(), n, plan.meta(), state,
+                                    stats);
   return stats;
 }
 
-// Every span length from empty through several vector widths plus tails:
-// SIMD == scalar, with and without the compiled line tables, including the
-// per-block miss attribution.
-TEST_F(ReplayStreamTest, SimdMatchesScalarOnEverySpanLength) {
+// Every span length from empty through 70: the compiled line tables give
+// the same counters and per-block miss attribution as the meta line math
+// (null tables), and sequentiality counts each event once.
+TEST_F(ReplayStreamTest, TablesMatchMetaMathOnEverySpanLength) {
   ASSERT_GE(events_.size(), 70u);
   for (std::size_t n = 0; n <= 70; ++n) {
-    for (const CompiledTable* tables : {&plan_->compiled(),
-                                        static_cast<const CompiledTable*>(
-                                            nullptr)}) {
-      std::vector<std::uint64_t> scalar_blocks(plan_->meta().size(), 0);
-      std::vector<std::uint64_t> simd_blocks(plan_->meta().size(), 0);
-      const MissRateResult scalar =
-          run_miss_span(*plan_, tables, geometry(), events_, n,
-                        ReplayKernel::kScalar, &scalar_blocks);
-      const MissRateResult simd =
-          run_miss_span(*plan_, tables, geometry(), events_, n,
-                        ReplayKernel::kSimd, &simd_blocks);
-      ASSERT_EQ(simd.instructions, scalar.instructions) << "n=" << n;
-      ASSERT_EQ(simd.line_accesses, scalar.line_accesses) << "n=" << n;
-      ASSERT_EQ(simd.misses, scalar.misses) << "n=" << n;
-      ASSERT_EQ(simd_blocks, scalar_blocks) << "n=" << n;
-    }
-    const trace::SequentialityStats scalar =
-        run_seq_span(*plan_, events_, n, ReplayKernel::kScalar);
-    const trace::SequentialityStats simd =
-        run_seq_span(*plan_, events_, n, ReplayKernel::kSimd);
-    ASSERT_EQ(simd.instructions, scalar.instructions) << "n=" << n;
-    ASSERT_EQ(simd.dynamic_blocks, scalar.dynamic_blocks) << "n=" << n;
-    ASSERT_EQ(simd.taken_transitions, scalar.taken_transitions) << "n=" << n;
+    std::vector<std::uint64_t> meta_blocks(plan_->meta().size(), 0);
+    std::vector<std::uint64_t> table_blocks(plan_->meta().size(), 0);
+    const MissRateResult meta_math =
+        run_miss_span(*plan_, nullptr, geometry(), events_, n, &meta_blocks);
+    const MissRateResult tables = run_miss_span(
+        *plan_, &plan_->compiled(), geometry(), events_, n, &table_blocks);
+    ASSERT_EQ(tables.instructions, meta_math.instructions) << "n=" << n;
+    ASSERT_EQ(tables.line_accesses, meta_math.line_accesses) << "n=" << n;
+    ASSERT_EQ(tables.misses, meta_math.misses) << "n=" << n;
+    ASSERT_EQ(table_blocks, meta_blocks) << "n=" << n;
+    const trace::SequentialityStats seq = run_seq_span(*plan_, events_, n);
+    ASSERT_EQ(seq.dynamic_blocks, n);
   }
 }
 
 // Chunked feeding through the carried state == one flat span, at every split
-// point around the vector width.
+// point, with and without the compiled line tables.
 TEST_F(ReplayStreamTest, SpansComposeThroughCarriedState) {
   const std::size_t n = 48;
   ASSERT_GE(events_.size(), n);
-  for (const ReplayKernel kernel : {ReplayKernel::kScalar, ReplayKernel::kSimd}) {
-    const MissRateResult whole_miss = run_miss_span(
-        *plan_, &plan_->compiled(), geometry(), events_, n, kernel, nullptr);
-    const trace::SequentialityStats whole_seq =
-        run_seq_span(*plan_, events_, n, kernel);
+  const trace::SequentialityStats whole_seq = run_seq_span(*plan_, events_, n);
+  for (const CompiledTable* tables :
+       {&plan_->compiled(), static_cast<const CompiledTable*>(nullptr)}) {
+    const MissRateResult whole_miss =
+        run_miss_span(*plan_, tables, geometry(), events_, n, nullptr);
     for (std::size_t split = 0; split <= n; ++split) {
       ICache cache(geometry());
       replay_detail::MissSpanState mstate;
       MissRateResult miss;
       replay_detail::missrate_span(events_.data(), split, plan_->meta(),
-                                   &plan_->compiled(), kLineBytes, cache,
-                                   nullptr, kernel, mstate, miss);
-      replay_detail::missrate_span(events_.data() + split, n - split,
-                                   plan_->meta(), &plan_->compiled(),
-                                   kLineBytes, cache, nullptr, kernel, mstate,
+                                   tables, kLineBytes, cache, nullptr, mstate,
                                    miss);
+      replay_detail::missrate_span(events_.data() + split, n - split,
+                                   plan_->meta(), tables, kLineBytes, cache,
+                                   nullptr, mstate, miss);
       ASSERT_EQ(miss.misses, whole_miss.misses) << "split=" << split;
       ASSERT_EQ(miss.line_accesses, whole_miss.line_accesses)
           << "split=" << split;
@@ -139,9 +127,9 @@ TEST_F(ReplayStreamTest, SpansComposeThroughCarriedState) {
       replay_detail::SeqSpanState sstate;
       trace::SequentialityStats seq;
       replay_detail::sequentiality_span(events_.data(), split, plan_->meta(),
-                                        kernel, sstate, seq);
+                                        sstate, seq);
       replay_detail::sequentiality_span(events_.data() + split, n - split,
-                                        plan_->meta(), kernel, sstate, seq);
+                                        plan_->meta(), sstate, seq);
       ASSERT_EQ(seq.taken_transitions, whole_seq.taken_transitions)
           << "split=" << split;
       ASSERT_EQ(seq.instructions, whole_seq.instructions) << "split=" << split;
@@ -150,7 +138,7 @@ TEST_F(ReplayStreamTest, SpansComposeThroughCarriedState) {
 }
 
 // The streamed entry points over an on-disk trace reproduce the in-memory
-// replay bit for bit, in both kernels.
+// replay bit for bit, with and without the compiled line tables.
 TEST_F(ReplayStreamTest, StreamedReplayMatchesInMemory) {
   ASSERT_TRUE(trace_.save(trace_path()).is_ok());
   auto opened = trace::TraceReader::open(trace_path());
@@ -161,24 +149,21 @@ TEST_F(ReplayStreamTest, StreamedReplayMatchesInMemory) {
   const MissRateResult mem = replay_missrate(*plan_, mem_cache);
   const trace::SequentialityStats mem_seq = replay_sequentiality(*plan_);
 
-  for (const ReplayKernel kernel : {ReplayKernel::kScalar, ReplayKernel::kSimd}) {
-    for (const CompiledTable* tables : {&plan_->compiled(),
-                                        static_cast<const CompiledTable*>(
-                                            nullptr)}) {
-      ICache cache(geometry());
-      auto streamed =
-          replay_missrate_streamed(reader, plan_->meta(), tables, cache, kernel);
-      ASSERT_TRUE(streamed.is_ok()) << streamed.status().to_string();
-      EXPECT_EQ(streamed.value().instructions, mem.instructions);
-      EXPECT_EQ(streamed.value().line_accesses, mem.line_accesses);
-      EXPECT_EQ(streamed.value().misses, mem.misses);
-    }
-    auto seq = replay_sequentiality_streamed(reader, plan_->meta(), kernel);
-    ASSERT_TRUE(seq.is_ok()) << seq.status().to_string();
-    EXPECT_EQ(seq.value().instructions, mem_seq.instructions);
-    EXPECT_EQ(seq.value().dynamic_blocks, mem_seq.dynamic_blocks);
-    EXPECT_EQ(seq.value().taken_transitions, mem_seq.taken_transitions);
+  for (const CompiledTable* tables :
+       {&plan_->compiled(), static_cast<const CompiledTable*>(nullptr)}) {
+    ICache cache(geometry());
+    auto streamed =
+        replay_missrate_streamed(reader, plan_->meta(), tables, cache);
+    ASSERT_TRUE(streamed.is_ok()) << streamed.status().to_string();
+    EXPECT_EQ(streamed.value().instructions, mem.instructions);
+    EXPECT_EQ(streamed.value().line_accesses, mem.line_accesses);
+    EXPECT_EQ(streamed.value().misses, mem.misses);
   }
+  auto seq = replay_sequentiality_streamed(reader, plan_->meta());
+  ASSERT_TRUE(seq.is_ok()) << seq.status().to_string();
+  EXPECT_EQ(seq.value().instructions, mem_seq.instructions);
+  EXPECT_EQ(seq.value().dynamic_blocks, mem_seq.dynamic_blocks);
+  EXPECT_EQ(seq.value().taken_transitions, mem_seq.taken_transitions);
 }
 
 // A trace naming blocks outside the program image is a clean corrupt-data

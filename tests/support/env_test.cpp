@@ -345,16 +345,6 @@ TEST(EnvTest, ValidateAllChecksFaultSpecSyntax) {
   EXPECT_NE(s.message().find("STC_FAULT"), std::string::npos);
 }
 
-TEST(EnvTest, MmapIsStrictlyBoolean) {
-  EXPECT_TRUE(mmap_enabled().value());  // default on
-  {
-    ScopedEnv guard("STC_MMAP", "0");
-    EXPECT_FALSE(mmap_enabled().value());
-  }
-  ScopedEnv guard("STC_MMAP", "yes");
-  expect_knob_error(mmap_enabled(), "STC_MMAP", "yes");
-}
-
 TEST(EnvTest, ResumeIsStrictlyBoolean) {
   {
     ScopedEnv guard("STC_RESUME", nullptr);

@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "support/error.h"
@@ -101,96 +99,6 @@ TEST(ReadFileTest, EmptyFileReadsEmpty) {
   ASSERT_TRUE(r.is_ok());
   EXPECT_TRUE(r.value().empty());
   std::remove(path.c_str());
-}
-
-class MappedFileTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    fault::reset();
-    payload_.resize(10000);
-    for (std::size_t i = 0; i < payload_.size(); ++i) {
-      payload_[i] = static_cast<std::uint8_t>(i * 31 + 7);
-    }
-    ASSERT_TRUE(write_file_atomic(path_, payload_.data(), payload_.size(),
-                                  "test.write")
-                    .is_ok());
-  }
-  void TearDown() override {
-    fault::reset();
-    std::remove(path_.c_str());
-  }
-  bool matches(const MappedFile& file) const {
-    return file.size() == payload_.size() &&
-           std::equal(payload_.begin(), payload_.end(), file.data());
-  }
-  std::string path_ = temp_path("stc_io_mapped.bin");
-  std::vector<std::uint8_t> payload_;
-};
-
-TEST_F(MappedFileTest, MapsRegularFile) {
-  auto r = MappedFile::open(path_);
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_TRUE(r.value().mapped());
-  EXPECT_TRUE(matches(r.value()));
-}
-
-TEST_F(MappedFileTest, MapFaultFallsBackToBufferedRead) {
-  // The mmap attempt is a named fault point; when it fires the open must
-  // degrade to a buffered read with the same bytes, not an error.
-  fault::arm("trace.mmap.open");
-  auto r = MappedFile::open(path_, true, "trace.mmap.open");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_FALSE(r.value().mapped());
-  EXPECT_TRUE(matches(r.value()));
-}
-
-TEST_F(MappedFileTest, WantMapFalseReadsBuffered) {
-  auto r = MappedFile::open(path_, false);
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_FALSE(r.value().mapped());
-  EXPECT_TRUE(matches(r.value()));
-}
-
-TEST_F(MappedFileTest, ReleaseKeepsBytesReadable) {
-  // MADV_DONTNEED on a read-only file map is non-destructive: released
-  // pages re-fault with the same content.
-  auto r = MappedFile::open(path_);
-  ASSERT_TRUE(r.is_ok());
-  r.value().release(0, r.value().size());
-  EXPECT_TRUE(matches(r.value()));
-}
-
-TEST_F(MappedFileTest, ReleaseIsNoOpForBufferedAndOutOfRange) {
-  auto r = MappedFile::open(path_, false);
-  ASSERT_TRUE(r.is_ok());
-  r.value().release(0, r.value().size());       // buffered: no-op
-  r.value().release(payload_.size(), 100);      // out of range: no-op
-  r.value().release(0, payload_.size() + 100);  // too long: no-op
-  EXPECT_TRUE(matches(r.value()));
-}
-
-TEST_F(MappedFileTest, EmptyFileGivesEmptyUnmappedView) {
-  const std::string empty = temp_path("stc_io_mapped_empty.bin");
-  ASSERT_TRUE(write_file_atomic(empty, "", 0, "test.write").is_ok());
-  auto r = MappedFile::open(empty);
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_FALSE(r.value().mapped());
-  EXPECT_EQ(r.value().size(), 0u);
-  std::remove(empty.c_str());
-}
-
-TEST_F(MappedFileTest, MissingFileIsNotFound) {
-  auto r = MappedFile::open("/nonexistent/file.bin");
-  ASSERT_FALSE(r.is_ok());
-  EXPECT_EQ(r.status().code(), ErrorCode::kNotFound);
-}
-
-TEST_F(MappedFileTest, MoveTransfersTheView) {
-  auto r = MappedFile::open(path_);
-  ASSERT_TRUE(r.is_ok());
-  MappedFile moved = std::move(r).take();
-  EXPECT_TRUE(moved.mapped());
-  EXPECT_TRUE(matches(moved));
 }
 
 }  // namespace

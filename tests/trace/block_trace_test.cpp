@@ -238,18 +238,33 @@ TEST_F(BlockTraceCorruptionTest, VarintOverflowInPayload) {
   // A hand-built file whose single chunk holds one 11-byte varint with every
   // continuation bit set: the decoder must flag the varint, not run away.
   std::vector<std::uint8_t> payload(11, 0xff);
-  std::vector<std::uint8_t> file(32 + 24, 0);
-  put_u64_at(file, 0, 0x53544331);  // magic
-  put_u64_at(file, 8, 2);           // version
-  put_u64_at(file, 16, 1);          // num_events
-  put_u64_at(file, 24, 1);          // num_chunks
-  put_u64_at(file, 32, payload.size());
-  put_u64_at(file, 40, 1);          // chunk event count
-  put_u64_at(file, 48, crc32(payload.data(), payload.size()));
+  const std::uint64_t crc = crc32(payload.data(), payload.size());
+  std::vector<std::uint8_t> file;
+  for (const std::uint64_t v : {format::kMagic, format::kVersion,
+                                std::uint64_t{1},  // num_events
+                                std::uint64_t{1},  // num_chunks
+                                std::uint64_t{payload.size()},
+                                std::uint64_t{1},  // chunk event count
+                                crc}) {
+    format::put_u64(file, v);
+  }
   file.insert(file.end(), payload.begin(), payload.end());
+  // The index footer: one entry matching the chunk header, then the trailer.
+  std::vector<std::uint8_t> index;
+  for (const std::uint64_t v : {std::uint64_t{56}, std::uint64_t{payload.size()},
+                                std::uint64_t{1}, crc}) {
+    format::put_u64(index, v);
+  }
+  const std::uint64_t index_offset = file.size();
+  file.insert(file.end(), index.begin(), index.end());
+  for (const std::uint64_t v :
+       {index_offset, std::uint64_t{1},
+        std::uint64_t{crc32(index.data(), index.size())}, format::kIndexMagic}) {
+    format::put_u64(file, v);
+  }
   const Status s = expect_rejected(file);
   EXPECT_EQ(s.code(), ErrorCode::kCorruptData);
-  EXPECT_NE(s.message().find("varint"), std::string::npos);
+  EXPECT_NE(s.message().find("varint"), std::string::npos) << s.to_string();
 }
 
 // ---- version-3 index footer ------------------------------------------------
@@ -294,43 +309,36 @@ TEST(BlockTraceV3Test, SerializeEmitsVersion3WithIndexFooter) {
   EXPECT_EQ(format::get_u64(&bytes[bytes.size() - 8]), format::kIndexMagic);
 }
 
-// Turns version-3 bytes into the version-2 encoding of the same trace: v2 is
-// exactly v3 minus the index footer, with the header version patched.
-std::vector<std::uint8_t> strip_to_v2(std::vector<std::uint8_t> bytes) {
+// Version 2 (the same layout without the index footer) is no longer read:
+// its bytes are rejected as an unsupported version, whatever follows them.
+std::vector<std::uint8_t> v3_as_v2(std::size_t events, bool keep_footer) {
+  BlockTrace t;
+  for (cfg::BlockId id = 0; id < events; ++id) t.append(id);
+  auto bytes = t.serialize();
   const std::uint64_t chunks = format::get_u64(&bytes[24]);
-  bytes.resize(bytes.size() - format::footer_bytes(chunks));
-  for (int i = 0; i < 8; ++i) {
-    bytes[8 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(format::kVersionV2 >> (8 * i));
-  }
+  if (!keep_footer) bytes.resize(bytes.size() - format::footer_bytes(chunks));
+  bytes[8] = 2;  // little-endian version field: 3 -> 2
   return bytes;
 }
 
-TEST(BlockTraceV3Test, Version2FilesStillLoadBitIdentically) {
-  BlockTrace t;
-  Rng rng(2024);
-  for (int i = 0; i < 60000; ++i) {
-    t.append(static_cast<cfg::BlockId>(rng.uniform(1 << 21)));
-  }
-  const auto v3 = t.serialize();
-  const auto v2 = strip_to_v2(v3);
-  ASSERT_LT(v2.size(), v3.size());
-  auto loaded = BlockTrace::deserialize(v2.data(), v2.size());
-  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
-  EXPECT_EQ(loaded.value().num_events(), t.num_events());
-  EXPECT_EQ(loaded.value().content_hash(), t.content_hash());
-  // Re-serializing a v2 load upgrades it to the identical v3 bytes.
-  EXPECT_EQ(loaded.value().serialize(), v3);
-}
-
-TEST(BlockTraceV3Test, Version2RejectsTrailingBytes) {
-  BlockTrace t;
-  for (cfg::BlockId id = 0; id < 50; ++id) t.append(id);
-  auto v2 = strip_to_v2(t.serialize());
-  v2.push_back(0x00);
-  auto r = BlockTrace::deserialize(v2.data(), v2.size());
+void expect_unsupported_v2(const std::vector<std::uint8_t>& bytes) {
+  auto r = BlockTrace::deserialize(bytes.data(), bytes.size());
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), ErrorCode::kCorruptData);
+  EXPECT_NE(r.status().message().find("unsupported trace version 2"),
+            std::string::npos)
+      << r.status().to_string();
+}
+
+TEST(BlockTraceV3Test, Version2IsRejectedAsUnsupported) {
+  expect_unsupported_v2(v3_as_v2(60000, /*keep_footer=*/false));
+}
+
+TEST(BlockTraceV3Test, Version2WithTrailingBytesIsRejectedAsUnsupported) {
+  auto v2 = v3_as_v2(50, /*keep_footer=*/false);
+  v2.push_back(0x00);
+  expect_unsupported_v2(v2);
+  expect_unsupported_v2(v3_as_v2(50, /*keep_footer=*/true));
 }
 
 TEST_F(BlockTraceCorruptionTest, CorruptFileOnDiskLoadsAsError) {

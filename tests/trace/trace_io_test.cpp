@@ -1,22 +1,35 @@
 #include "trace/trace_io.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cfg/address_map.h"
+#include "sim/replay.h"
 #include "support/error.h"
 #include "support/faultpoint.h"
+#include "support/rng.h"
+#include "testing/synthetic.h"
 #include "trace/block_trace.h"
 #include "trace/trace_format.h"
 
 namespace stc::trace {
 namespace {
+
+long peak_rss_kb() {
+  struct rusage usage {};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;  // Linux: KB
+}
 
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
@@ -51,15 +64,6 @@ void patch_u64(std::uint8_t* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-// Drops the version-3 index footer and patches the version field, producing
-// the bytes a version-2 writer would have emitted.
-std::vector<std::uint8_t> strip_to_v2(std::vector<std::uint8_t> bytes) {
-  const std::uint64_t num_chunks = format::get_u64(&bytes[24]);
-  bytes.resize(bytes.size() - format::footer_bytes(num_chunks));
-  patch_u64(&bytes[8], format::kVersionV2);
-  return bytes;
-}
-
 class TraceIoTest : public ::testing::Test {
  protected:
   void SetUp() override { fault::reset(); }
@@ -84,7 +88,6 @@ class TraceIoTest : public ::testing::Test {
     for (std::size_t c = 0; c < reader.num_chunks(); ++c) {
       auto r = reader.decode_chunk(c, out);
       EXPECT_TRUE(r.is_ok()) << r.status().to_string();
-      reader.release_chunk(c);
     }
     return out;
   }
@@ -204,42 +207,88 @@ TEST_F(TraceIoTest, TruncatedFooterFailsOpen) {
   EXPECT_EQ(opened.status().code(), ErrorCode::kCorruptData);
 }
 
-TEST_F(TraceIoTest, Version2FileOpensAndDecodes) {
+TEST_F(TraceIoTest, Version2IsRejectedAsUnsupported) {
+  write_file(make_events(1000));
+  auto bytes = slurp(path_);
+  patch_u64(&bytes[8], 2);
+  spit(path_, bytes);
+  auto opened = TraceReader::open(path_);
+  ASSERT_FALSE(opened.is_ok());
+  EXPECT_EQ(opened.status().code(), ErrorCode::kCorruptData);
+  EXPECT_NE(opened.status().message().find("unsupported trace version 2"),
+            std::string::npos)
+      << opened.status().to_string();
+}
+
+// The reader keeps only a descriptor: a file cut short after open() is a
+// clean error on the chunks it lost, and the chunks still on disk read fine.
+TEST_F(TraceIoTest, FileTruncatedAfterOpenIsCleanError) {
   const auto events = make_events(80000);
-  BlockTrace trace;
-  for (const cfg::BlockId id : events) trace.append(id);
-  spit(path_, strip_to_v2(trace.serialize()));
-
+  write_file(events);
   auto opened = TraceReader::open(path_);
   ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
-  EXPECT_EQ(opened.value().version(), format::kVersionV2);
-  EXPECT_EQ(opened.value().num_chunks(), trace.num_chunks());
-  EXPECT_EQ(decode_all(opened.value()), events);
+  const TraceReader& reader = opened.value();
+  ASSERT_GE(reader.num_chunks(), 3u);
+
+  // Cut the file right after chunk 0's payload.
+  const std::uint64_t chunk0_bytes = format::get_u64(&slurp(path_)[32]);
+  const int fd = ::open(path_.c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::ftruncate(fd, static_cast<off_t>(format::kHeaderBytes +
+                                               format::kChunkHeaderBytes +
+                                               chunk0_bytes)),
+            0);
+  ::close(fd);
+
+  const std::size_t last = reader.num_chunks() - 1;
+  std::vector<cfg::BlockId> out;
+  const auto lost = reader.decode_chunk(last, out);
+  ASSERT_FALSE(lost.is_ok());
+  EXPECT_NE(lost.status().message().find("chunk " + std::to_string(last)),
+            std::string::npos)
+      << lost.status().to_string();
+  EXPECT_TRUE(out.empty());
+  const auto kept = reader.decode_chunk(0, out);
+  ASSERT_TRUE(kept.is_ok()) << kept.status().to_string();
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), events.begin()));
 }
 
-TEST_F(TraceIoTest, MmapFaultFallsBackToBufferedDecode) {
-  const auto events = make_events(5000);
-  write_file(events);
-  fault::arm("trace.mmap.open");
+// Streaming a trace many times the size of one chunk must not grow resident
+// memory with the file. Each test runs in its own process under ctest, so
+// ru_maxrss is this test's own peak.
+TEST_F(TraceIoTest, StreamedReplayKeepsResidentMemoryBounded) {
+  Rng rng(7);
+  const auto image = testing::random_image(rng, 20000);
+  const cfg::AddressMap layout = cfg::AddressMap::original(*image);
+  sim::ReplayArena arena;
+  sim::BlockMetaTable meta;
+  meta.build(*image, layout, arena);
+  {
+    // Ids scattered over the whole image code to 2-3 byte deltas, so 26M
+    // events make a file of about 70 MB.
+    auto writer = TraceFileWriter::create(path_);
+    ASSERT_TRUE(writer.is_ok()) << writer.status().to_string();
+    for (std::size_t i = 0; i < 26'000'000; ++i) {
+      writer.value().append(
+          static_cast<cfg::BlockId>(rng.uniform(image->num_blocks())));
+    }
+    const Status s = writer.value().finalize();
+    ASSERT_TRUE(s.is_ok()) << s.to_string();
+  }
+  // The baseline precedes open(): a reader that loads the file there must
+  // fail this test too.
+  const long before_kb = peak_rss_kb();
   auto opened = TraceReader::open(path_);
   ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
-  EXPECT_FALSE(opened.value().using_mmap());
-  EXPECT_EQ(decode_all(opened.value()), events);  // release_chunk: no-op
-}
-
-TEST_F(TraceIoTest, StcMmapZeroForcesBufferedOpen) {
-  const auto events = make_events(5000);
-  write_file(events);
-  ::setenv("STC_MMAP", "0", 1);
-  auto buffered = TraceReader::open(path_);
-  ::unsetenv("STC_MMAP");
-  ASSERT_TRUE(buffered.is_ok());
-  EXPECT_FALSE(buffered.value().using_mmap());
-  EXPECT_EQ(decode_all(buffered.value()), events);
-
-  auto mapped = TraceReader::open(path_);
-  ASSERT_TRUE(mapped.is_ok());
-  EXPECT_TRUE(mapped.value().using_mmap());
+  const TraceReader& reader = opened.value();
+  ASSERT_GE(reader.file_bytes(), std::uint64_t{64} << 20);
+  auto seq = sim::replay_sequentiality_streamed(reader, meta);
+  ASSERT_TRUE(seq.is_ok()) << seq.status().to_string();
+  EXPECT_EQ(seq.value().dynamic_blocks, reader.num_events());
+  const long grown_kb = peak_rss_kb() - before_kb;
+  EXPECT_LT(grown_kb, 16 * 1024) << "peak RSS grew by " << grown_kb
+                                 << " KB streaming a "
+                                 << (reader.file_bytes() >> 20) << " MB file";
 }
 
 TEST_F(TraceIoTest, OpenFaultPointSurfaces) {

@@ -341,11 +341,10 @@ TEST(FuzzRegression, TraceBytesV3IndexFooterMutations) {
   }
 }
 
-// Pins the compiled engine's SIMD tail: 61 events is 5 mod 8, so the 8-wide
-// vector main loop (sim/replay.cpp kLanes) leaves a scalar tail — and the
-// sequentiality kernel's one-event lookahead splits at a different boundary
-// than the miss-rate kernel's. Both widths must agree with the interpreter
-// bit for bit. Salt 4*7 + 61*5 + 32 = 365 (odd): in-order back end.
+// Pins an odd-length trace as a plain tail case: 61 events (20 loop trips of
+// three blocks, then the exit) that end on a return, not on a loop boundary.
+// The compiled engine must agree with the interpreter bit for bit through
+// the last event. Salt 4*7 + 61*5 + 32 = 365 (odd): in-order back end.
 TEST(FuzzRegression, ReplayDiffSimdTailOddLength) {
   stc::verify::FuzzCase c;
   c.cache_bytes = 1024;
