@@ -12,6 +12,7 @@
 #include "support/env.h"
 #include "trace/fetch_stream.h"
 #include "verify/oracle.h"
+#include "verify/reference.h"
 
 namespace stc::bench {
 
@@ -77,15 +78,41 @@ void verify_triple(const trace::BlockTrace& trace,
                 layout.name().c_str());
 }
 
-// STC_VERIFY cross-check for a plan-backed cell: `fill_interp` re-runs the
-// cell through the interpreter into a fresh counter set, which must match
-// the replay engine's counters bit for bit.
-void cross_check_replay(const char* what, const CounterSet& actual,
-                        const std::function<void(CounterSet&)>& fill_interp) {
+// STC_VERIFY cross-check for a missrate or sequentiality cell:
+// `fill_reference` runs the oracle's reference (verify/reference.h) into a
+// fresh counter set, which must match the span kernel's counters bit for
+// bit.
+void cross_check_reference(
+    const char* what, const CounterSet& actual,
+    const std::function<void(CounterSet&)>& fill_reference) {
   CounterSet expected;
-  fill_interp(expected);
+  fill_reference(expected);
   require_clean(verify::check_counters_equal(expected, actual, what),
-                "replay-mode cross-check");
+                "reference cross-check");
+}
+
+// The memoized plan a fetch-family cell replays. Under STC_VERIFY each plan
+// is checked once to feed exactly what the reference stream would
+// (verify::check_plan_feed), which proves every fetch-family simulator's
+// counters equal to a per-event walk's. Cached plans live as long as the
+// process, so their addresses key the memo.
+const sim::ReplayPlan& fetch_plan(const trace::BlockTrace& trace,
+                                  const cfg::ProgramImage& image,
+                                  const cfg::AddressMap& layout,
+                                  std::uint32_t line_bytes,
+                                  const sim::BackendSpec& backend = {}) {
+  const sim::ReplayPlan& plan =
+      plan_for(trace, image, layout, line_bytes, backend);
+  if (!verify_enabled()) return plan;
+  static std::mutex mu;
+  static std::set<const sim::ReplayPlan*> checked;
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    if (!checked.insert(&plan).second) return plan;
+  }
+  require_clean(verify::check_plan_feed(trace, image, layout, plan, backend),
+                "plan feed");
+  return plan;
 }
 
 }  // namespace
@@ -171,12 +198,10 @@ ExperimentResult measure_miss(const trace::BlockTrace& trace,
                               const sim::CacheGeometry& geometry,
                               std::uint32_t victim_lines) {
   if (verify_enabled()) verify_triple(trace, image, layout);
-  const sim::ReplayPlan* plan =
+  const sim::ReplayPlan& plan =
       plan_for(trace, image, layout, geometry.line_bytes);
   sim::ICache cache(geometry, victim_lines);
-  const auto sim = plan != nullptr
-                       ? sim::replay_missrate(*plan, cache)
-                       : sim::run_missrate(trace, image, layout, cache);
+  const auto sim = sim::replay_missrate(plan, cache);
   if (verify_enabled()) {
     require_clean(verify::check_missrate_result(
                       sim, cache.stats(),
@@ -188,10 +213,10 @@ ExperimentResult measure_miss(const trace::BlockTrace& trace,
   sim.export_counters(result.counters());
   cache.stats().export_counters(result.counters());
   result.counters().add("blocks", trace.num_events());
-  if (verify_enabled() && plan != nullptr) {
-    cross_check_replay("missrate", result.counters(), [&](CounterSet& out) {
+  if (verify_enabled()) {
+    cross_check_reference("missrate", result.counters(), [&](CounterSet& out) {
       sim::ICache ref(geometry, victim_lines);
-      const auto r = sim::run_missrate(trace, image, layout, ref);
+      const auto r = verify::reference_missrate(trace, image, layout, ref);
       r.export_counters(out);
       ref.stats().export_counters(out);
       out.add("blocks", trace.num_events());
@@ -215,9 +240,10 @@ ExperimentResult measure_tenant_miss(const workload::ComposedTrace& composed,
   };
   std::vector<TenantStats> per(composed.tenant_events.size());
   TenantStats total;
-  // Mirrors sim::run_missrate line-crossing semantics exactly (the aggregate
-  // counters must equal a plain run over the composed trace); the extra
-  // state is the provenance-segment cursor selecting the charged tenant.
+  // Mirrors verify::reference_missrate line-crossing semantics exactly (the
+  // aggregate counters must equal a plain run over the composed trace); the
+  // extra state is the provenance-segment cursor selecting the charged
+  // tenant.
   trace::BlockRunStream stream(trace, image, layout);
   trace::BlockRun run;
   std::size_t seg = 0;
@@ -248,13 +274,13 @@ ExperimentResult measure_tenant_miss(const workload::ComposedTrace& composed,
   }
   if (verify_enabled()) {
     // Independent recount: the attributed totals must match a plain
-    // run_missrate pass over the same trace with a fresh cache.
+    // reference_missrate pass over the same trace with a fresh cache.
     sim::ICache ref(geometry);
-    const auto r = sim::run_missrate(trace, image, layout, ref);
+    const auto r = verify::reference_missrate(trace, image, layout, ref);
     STC_CHECK_MSG(r.instructions == total.instructions &&
                       r.line_accesses == total.accesses &&
                       r.misses == total.misses,
-                  "tenant-attributed counters diverge from run_missrate");
+                  "tenant-attributed counters diverge from the reference");
   }
   auto pct = [](const TenantStats& t) {
     return t.instructions == 0 ? 0.0
@@ -288,16 +314,12 @@ ExperimentResult measure_seq3_plain(const trace::BlockTrace& trace,
                                     const sim::CacheGeometry& geometry,
                                     bool perfect) {
   if (verify_enabled()) verify_triple(trace, image, layout);
-  const sim::ReplayPlan* plan =
-      plan_for(trace, image, layout, geometry.line_bytes);
+  const sim::ReplayPlan& plan =
+      fetch_plan(trace, image, layout, geometry.line_bytes);
   sim::FetchParams params;
   params.perfect_icache = perfect;
   sim::ICache cache(geometry);
-  const auto sim =
-      plan != nullptr
-          ? sim::run_seq3(*plan, params, perfect ? nullptr : &cache)
-          : sim::run_seq3(trace, image, layout, params,
-                          perfect ? nullptr : &cache);
+  const auto sim = sim::run_seq3(plan, params, perfect ? nullptr : &cache);
   if (verify_enabled()) {
     require_clean(verify::check_fetch_result(
                       sim, params, verify::trace_instructions(trace, image),
@@ -309,16 +331,6 @@ ExperimentResult measure_seq3_plain(const trace::BlockTrace& trace,
   sim.export_counters(result.counters());
   if (!perfect) cache.stats().export_counters(result.counters());
   result.counters().add("blocks", trace.num_events());
-  if (verify_enabled() && plan != nullptr) {
-    cross_check_replay("seq3", result.counters(), [&](CounterSet& out) {
-      sim::ICache ref(geometry);
-      const auto r = sim::run_seq3(trace, image, layout, params,
-                                   perfect ? nullptr : &ref);
-      r.export_counters(out);
-      if (!perfect) ref.stats().export_counters(out);
-      out.add("blocks", trace.num_events());
-    });
-  }
   return result;
 }
 
@@ -329,16 +341,13 @@ ExperimentResult measure_tc_plain(const trace::BlockTrace& trace,
                                   const sim::TraceCacheParams& tc,
                                   bool perfect) {
   if (verify_enabled()) verify_triple(trace, image, layout);
-  const sim::ReplayPlan* plan =
-      plan_for(trace, image, layout, geometry.line_bytes);
+  const sim::ReplayPlan& plan =
+      fetch_plan(trace, image, layout, geometry.line_bytes);
   sim::FetchParams params;
   params.perfect_icache = perfect;
   sim::ICache cache(geometry);
   const auto sim =
-      plan != nullptr
-          ? sim::run_trace_cache(*plan, params, tc, perfect ? nullptr : &cache)
-          : sim::run_trace_cache(trace, image, layout, params, tc,
-                                 perfect ? nullptr : &cache);
+      sim::run_trace_cache(plan, params, tc, perfect ? nullptr : &cache);
   if (verify_enabled()) {
     require_clean(verify::check_fetch_result(
                       sim, params, verify::trace_instructions(trace, image),
@@ -351,16 +360,6 @@ ExperimentResult measure_tc_plain(const trace::BlockTrace& trace,
   sim.export_counters(result.counters());
   if (!perfect) cache.stats().export_counters(result.counters());
   result.counters().add("blocks", trace.num_events());
-  if (verify_enabled() && plan != nullptr) {
-    cross_check_replay("trace_cache", result.counters(), [&](CounterSet& out) {
-      sim::ICache ref(geometry);
-      const auto r = sim::run_trace_cache(trace, image, layout, params, tc,
-                                          perfect ? nullptr : &ref);
-      r.export_counters(out);
-      if (!perfect) ref.stats().export_counters(out);
-      out.add("blocks", trace.num_events());
-    });
-  }
   return result;
 }
 
@@ -378,26 +377,15 @@ const backend::BackendParams& backend_params() {
   return params;
 }
 
-sim::ReplayMode replay_mode() {
-  static const sim::ReplayMode mode = sim::replay_mode_from_env();
-  return mode;
-}
-
-const sim::ReplayPlan* plan_for(const trace::BlockTrace& trace,
-                                const cfg::ProgramImage& image,
-                                const cfg::AddressMap& layout,
-                                std::uint32_t line_bytes) {
-  return plan_for(trace, image, layout, line_bytes, sim::BackendSpec{});
-}
-
-const sim::ReplayPlan* plan_for(const trace::BlockTrace& trace,
+const sim::ReplayPlan& plan_for(const trace::BlockTrace& trace,
                                 const cfg::ProgramImage& image,
                                 const cfg::AddressMap& layout,
                                 std::uint32_t line_bytes,
                                 const sim::BackendSpec& backend) {
-  if (replay_mode() == sim::ReplayMode::kInterp) return nullptr;
   static sim::ReplayPlanCache cache;
-  return cache.get(trace, image, layout, line_bytes, backend);
+  // value() throws the build Status as a StatusError: the runner records
+  // the cell as failed, and a retry asks the cache again.
+  return *cache.get(trace, image, layout, line_bytes, backend).value();
 }
 
 const char* to_string(ReplaySimKind kind) {
@@ -415,70 +403,46 @@ namespace {
 
 // The fixed machine the replay-throughput "backend" rows measure: the
 // default out-of-order window. Deliberately independent of the STC_BACKEND
-// knobs — the throughput bench compares replay engines, not machine shapes.
+// knobs — the throughput bench measures replay speed, not machine shapes.
 backend::BackendParams replay_bench_backend() {
   backend::BackendParams bp;
   bp.kind = backend::BackendKind::kOoo;
   return bp;
 }
 
-// Runs one simulator kind through either backend (interp when `plan` is
-// null) and exports its counters in the cell's canonical order.
-void run_replay_sim(ReplaySimKind kind, const trace::BlockTrace& trace,
-                    const cfg::ProgramImage& image,
-                    const cfg::AddressMap& layout,
-                    const sim::CacheGeometry& geometry,
-                    const sim::ReplayPlan* plan, CounterSet& out) {
+// Runs one simulator kind on `plan` and exports its counters in the cell's
+// canonical order.
+void run_plan_sim(ReplaySimKind kind, const sim::ReplayPlan& plan,
+                  const sim::CacheGeometry& geometry, CounterSet& out) {
   switch (kind) {
     case ReplaySimKind::kMissRate: {
       sim::ICache cache(geometry);
-      const auto r = plan != nullptr
-                         ? sim::replay_missrate(*plan, cache)
-                         : sim::run_missrate(trace, image, layout, cache);
-      r.export_counters(out);
+      sim::replay_missrate(plan, cache).export_counters(out);
       cache.stats().export_counters(out);
       return;
     }
-    case ReplaySimKind::kSequentiality: {
-      const auto r = plan != nullptr
-                         ? sim::replay_sequentiality(*plan)
-                         : trace::measure_sequentiality(trace, image, layout);
-      r.export_counters(out);
+    case ReplaySimKind::kSequentiality:
+      sim::replay_sequentiality(plan).export_counters(out);
       return;
-    }
     case ReplaySimKind::kSeq3: {
-      const sim::FetchParams params;
       sim::ICache cache(geometry);
-      const auto r =
-          plan != nullptr
-              ? sim::run_seq3(*plan, params, &cache)
-              : sim::run_seq3(trace, image, layout, params, &cache);
-      r.export_counters(out);
+      sim::run_seq3(plan, sim::FetchParams{}, &cache).export_counters(out);
       cache.stats().export_counters(out);
       return;
     }
     case ReplaySimKind::kTraceCache: {
-      const sim::FetchParams params;
-      const sim::TraceCacheParams tc;
       sim::ICache cache(geometry);
-      const auto r = plan != nullptr
-                         ? sim::run_trace_cache(*plan, params, tc, &cache)
-                         : sim::run_trace_cache(trace, image, layout, params,
-                                                tc, &cache);
-      r.export_counters(out);
+      sim::run_trace_cache(plan, sim::FetchParams{}, sim::TraceCacheParams{},
+                           &cache)
+          .export_counters(out);
       cache.stats().export_counters(out);
       return;
     }
     case ReplaySimKind::kBackend: {
-      const sim::FetchParams params;
       const frontend::FrontEndParams fe;  // transparent front end
-      const backend::BackendParams bp = replay_bench_backend();
       sim::ICache cache(geometry);
-      const auto r =
-          plan != nullptr
-              ? backend::run_seq3_backend(*plan, params, fe, bp, &cache)
-              : backend::run_seq3_backend(trace, image, layout, params, fe,
-                                          bp, &cache);
+      const auto r = backend::run_seq3_backend(
+          plan, sim::FetchParams{}, fe, replay_bench_backend(), &cache);
       if (!r.is_ok()) {
         throw StatusError(r.status().with_context("replay backend cell"));
       }
@@ -491,61 +455,96 @@ void run_replay_sim(ReplaySimKind kind, const trace::BlockTrace& trace,
   }
 }
 
+// Runs the oracle's reference for a missrate or sequentiality cell, with the
+// same counter order as run_plan_sim.
+void run_reference_sim(ReplaySimKind kind, const trace::BlockTrace& trace,
+                       const cfg::ProgramImage& image,
+                       const cfg::AddressMap& layout,
+                       const sim::CacheGeometry& geometry, CounterSet& out) {
+  if (kind == ReplaySimKind::kSequentiality) {
+    verify::reference_sequentiality(trace, image, layout).export_counters(out);
+    return;
+  }
+  STC_REQUIRE(kind == ReplaySimKind::kMissRate);
+  sim::ICache cache(geometry);
+  verify::reference_missrate(trace, image, layout, cache).export_counters(out);
+  cache.stats().export_counters(out);
+}
+
+bool has_reference(ReplaySimKind kind) {
+  return kind == ReplaySimKind::kMissRate ||
+         kind == ReplaySimKind::kSequentiality;
+}
+
 }  // namespace
 
 ExperimentResult measure_replay_cell(const trace::BlockTrace& trace,
                                      const cfg::ProgramImage& image,
                                      const cfg::AddressMap& layout,
                                      const sim::CacheGeometry& geometry,
-                                     ReplaySimKind sim_kind,
-                                     sim::ReplayMode mode) {
+                                     ReplaySimKind sim_kind) {
   const std::uint32_t line_bytes =
       sim_kind == ReplaySimKind::kSequentiality ? 0 : geometry.line_bytes;
+  const sim::BackendSpec spec = sim_kind == ReplaySimKind::kBackend
+                                    ? replay_bench_backend().spec()
+                                    : sim::BackendSpec{};
 
   // Plan build (timed separately: it amortizes over a whole grid in real
   // benches but must still be visible in the throughput report).
-  double plan_seconds = 0.0;
-  std::unique_ptr<sim::ReplayPlan> plan;
-  if (mode != sim::ReplayMode::kInterp) {
-    const auto plan_start = std::chrono::steady_clock::now();
-    const sim::BackendSpec spec = sim_kind == ReplaySimKind::kBackend
-                                      ? replay_bench_backend().spec()
-                                      : sim::BackendSpec{};
-    Result<sim::ReplayPlan> built =
-        sim::build_replay_plan(mode, trace, image, layout, line_bytes, spec);
-    plan_seconds = seconds_since(plan_start);
-    if (!built.is_ok()) {
-      throw StatusError(built.status().with_context("replay cell plan"));
-    }
-    plan = std::make_unique<sim::ReplayPlan>(std::move(built).take());
+  const auto plan_start = std::chrono::steady_clock::now();
+  Result<sim::ReplayPlan> built = sim::build_replay_plan(
+      sim::ReplayMode::kCompiled, trace, image, layout, line_bytes, spec);
+  const double plan_seconds = seconds_since(plan_start);
+  if (!built.is_ok()) {
+    throw StatusError(built.status().with_context("replay cell plan"));
   }
+  const sim::ReplayPlan& plan = built.value();
 
   ExperimentResult result;
   const auto replay_start = std::chrono::steady_clock::now();
-  run_replay_sim(sim_kind, trace, image, layout, geometry, plan.get(),
-                 result.counters());
+  run_plan_sim(sim_kind, plan, geometry, result.counters());
   const double seconds = seconds_since(replay_start);
 
-  // Correctness gate: the timed run must reproduce the interpreter bit for
-  // bit, whichever engine produced it.
-  CounterSet expected;
-  run_replay_sim(sim_kind, trace, image, layout, geometry, nullptr, expected);
-  const verify::Report diff =
-      verify::check_counters_equal(expected, result.counters(),
-                                   to_string(sim_kind));
-  if (!diff.ok()) {
-    throw StatusError(internal_error("replay mode " +
-                                     std::string(sim::to_string(mode)) +
-                                     " diverged from interp: " +
-                                     diff.summary()));
+  // Correctness gate: the kernels must reproduce their references bit for
+  // bit, and the fetch family's plan must feed what the reference stream
+  // would.
+  verify::Report check;
+  if (has_reference(sim_kind)) {
+    CounterSet expected;
+    run_reference_sim(sim_kind, trace, image, layout, geometry, expected);
+    check = verify::check_counters_equal(expected, result.counters(),
+                                         to_string(sim_kind));
+  } else {
+    check = verify::check_plan_feed(trace, image, layout, plan, spec);
+  }
+  if (!check.ok()) {
+    throw StatusError(internal_error(std::string(to_string(sim_kind)) +
+                                     " replay diverged from the reference: " +
+                                     check.summary()));
   }
 
   const double events = static_cast<double>(trace.num_events());
   result.metric("events_per_sec", seconds > 0.0 ? events / seconds : 0.0);
   result.metric("seconds", seconds);
-  if (mode != sim::ReplayMode::kInterp) {
-    result.metric("plan_seconds", plan_seconds);
-  }
+  result.metric("plan_seconds", plan_seconds);
+  result.counters().add("blocks", trace.num_events());
+  return result;
+}
+
+ExperimentResult measure_reference_cell(const trace::BlockTrace& trace,
+                                        const cfg::ProgramImage& image,
+                                        const cfg::AddressMap& layout,
+                                        const sim::CacheGeometry& geometry,
+                                        ReplaySimKind sim_kind) {
+  STC_REQUIRE(has_reference(sim_kind));
+  ExperimentResult result;
+  const auto start = std::chrono::steady_clock::now();
+  run_reference_sim(sim_kind, trace, image, layout, geometry,
+                    result.counters());
+  const double seconds = seconds_since(start);
+  const double events = static_cast<double>(trace.num_events());
+  result.metric("events_per_sec", seconds > 0.0 ? events / seconds : 0.0);
+  result.metric("seconds", seconds);
   result.counters().add("blocks", trace.num_events());
   return result;
 }
@@ -589,17 +588,13 @@ ExperimentResult measure_seq3_bpred(const trace::BlockTrace& trace,
     return measure_seq3_plain(trace, image, layout, geometry, perfect);
   }
   if (verify_enabled()) verify_triple(trace, image, layout);
-  const sim::ReplayPlan* plan =
-      plan_for(trace, image, layout, geometry.line_bytes);
+  const sim::ReplayPlan& plan =
+      fetch_plan(trace, image, layout, geometry.line_bytes);
   sim::FetchParams params;
   params.perfect_icache = perfect;
   sim::ICache cache(geometry);
-  const auto sim =
-      plan != nullptr
-          ? frontend::run_seq3_frontend(*plan, params, fe,
-                                        perfect ? nullptr : &cache)
-          : frontend::run_seq3_frontend(trace, image, layout, params, fe,
-                                        perfect ? nullptr : &cache);
+  const auto sim = frontend::run_seq3_frontend(plan, params, fe,
+                                               perfect ? nullptr : &cache);
   if (verify_enabled()) {
     require_clean(verify::check_frontend_result(
                       sim, params, fe,
@@ -614,19 +609,6 @@ ExperimentResult measure_seq3_bpred(const trace::BlockTrace& trace,
   sim.frontend.export_counters(result.counters());
   if (!perfect) cache.stats().export_counters(result.counters());
   result.counters().add("blocks", trace.num_events());
-  if (verify_enabled() && plan != nullptr) {
-    cross_check_replay("seq3+frontend", result.counters(),
-                       [&](CounterSet& out) {
-                         sim::ICache ref(geometry);
-                         const auto r = frontend::run_seq3_frontend(
-                             trace, image, layout, params, fe,
-                             perfect ? nullptr : &ref);
-                         r.fetch.export_counters(out);
-                         r.frontend.export_counters(out);
-                         if (!perfect) ref.stats().export_counters(out);
-                         out.add("blocks", trace.num_events());
-                       });
-  }
   return result;
 }
 
@@ -641,18 +623,13 @@ ExperimentResult measure_tc_bpred(const trace::BlockTrace& trace,
     return measure_tc_plain(trace, image, layout, geometry, tc, perfect);
   }
   if (verify_enabled()) verify_triple(trace, image, layout);
-  const sim::ReplayPlan* plan =
-      plan_for(trace, image, layout, geometry.line_bytes);
+  const sim::ReplayPlan& plan =
+      fetch_plan(trace, image, layout, geometry.line_bytes);
   sim::FetchParams params;
   params.perfect_icache = perfect;
   sim::ICache cache(geometry);
-  const auto sim =
-      plan != nullptr
-          ? frontend::run_trace_cache_frontend(*plan, params, tc, fe,
-                                               perfect ? nullptr : &cache)
-          : frontend::run_trace_cache_frontend(trace, image, layout, params,
-                                               tc, fe,
-                                               perfect ? nullptr : &cache);
+  const auto sim = frontend::run_trace_cache_frontend(
+      plan, params, tc, fe, perfect ? nullptr : &cache);
   if (verify_enabled()) {
     require_clean(verify::check_frontend_result(
                       sim, params, fe,
@@ -668,19 +645,6 @@ ExperimentResult measure_tc_bpred(const trace::BlockTrace& trace,
   sim.frontend.export_counters(result.counters());
   if (!perfect) cache.stats().export_counters(result.counters());
   result.counters().add("blocks", trace.num_events());
-  if (verify_enabled() && plan != nullptr) {
-    cross_check_replay("trace_cache+frontend", result.counters(),
-                       [&](CounterSet& out) {
-                         sim::ICache ref(geometry);
-                         const auto r = frontend::run_trace_cache_frontend(
-                             trace, image, layout, params, tc, fe,
-                             perfect ? nullptr : &ref);
-                         r.fetch.export_counters(out);
-                         r.frontend.export_counters(out);
-                         if (!perfect) ref.stats().export_counters(out);
-                         out.add("blocks", trace.num_events());
-                       });
-  }
   return result;
 }
 
@@ -694,17 +658,13 @@ ExperimentResult measure_seq3_backend(const trace::BlockTrace& trace,
   STC_CHECK_MSG(!bp.off(),
                 "measure_seq3_backend requires a non-off back end");
   if (verify_enabled()) verify_triple(trace, image, layout);
-  const sim::ReplayPlan* plan =
-      plan_for(trace, image, layout, geometry.line_bytes, bp.spec());
+  const sim::ReplayPlan& plan =
+      fetch_plan(trace, image, layout, geometry.line_bytes, bp.spec());
   sim::FetchParams params;
   params.perfect_icache = perfect;
   sim::ICache cache(geometry);
-  const auto run =
-      plan != nullptr
-          ? backend::run_seq3_backend(*plan, params, fe, bp,
-                                      perfect ? nullptr : &cache)
-          : backend::run_seq3_backend(trace, image, layout, params, fe, bp,
-                                      perfect ? nullptr : &cache);
+  const auto run = backend::run_seq3_backend(plan, params, fe, bp,
+                                             perfect ? nullptr : &cache);
   if (!run.is_ok()) {
     throw StatusError(run.status().with_context("backend cell"));
   }
@@ -726,24 +686,6 @@ ExperimentResult measure_seq3_backend(const trace::BlockTrace& trace,
   sim.backend.export_counters(result.counters());
   if (!perfect) cache.stats().export_counters(result.counters());
   result.counters().add("blocks", trace.num_events());
-  if (verify_enabled() && plan != nullptr) {
-    cross_check_replay(
-        "seq3+backend", result.counters(), [&](CounterSet& out) {
-          sim::ICache ref(geometry);
-          const auto r = backend::run_seq3_backend(
-              trace, image, layout, params, fe, bp,
-              perfect ? nullptr : &ref);
-          if (!r.is_ok()) {
-            throw StatusError(
-                r.status().with_context("backend interp cross-check"));
-          }
-          r.value().fetch.export_counters(out);
-          if (!fe.transparent()) r.value().frontend.export_counters(out);
-          r.value().backend.export_counters(out);
-          if (!perfect) ref.stats().export_counters(out);
-          out.add("blocks", trace.num_events());
-        });
-  }
   return result;
 }
 
@@ -752,19 +694,18 @@ ExperimentResult measure_seq(const trace::BlockTrace& trace,
                              const cfg::AddressMap& layout) {
   if (verify_enabled()) verify_triple(trace, image, layout);
   // Sequentiality needs no cache-line tables: a layout-only plan suffices.
-  const sim::ReplayPlan* plan = plan_for(trace, image, layout, 0);
-  const auto seq = plan != nullptr
-                       ? sim::replay_sequentiality(*plan)
-                       : trace::measure_sequentiality(trace, image, layout);
+  const auto seq =
+      sim::replay_sequentiality(plan_for(trace, image, layout, 0));
   ExperimentResult result;
   result.metric("insn_per_taken", seq.insns_between_taken_branches());
   seq.export_counters(result.counters());
-  if (verify_enabled() && plan != nullptr) {
-    cross_check_replay("sequentiality", result.counters(),
-                       [&](CounterSet& out) {
-                         trace::measure_sequentiality(trace, image, layout)
-                             .export_counters(out);
-                       });
+  if (verify_enabled()) {
+    cross_check_reference("sequentiality", result.counters(),
+                          [&](CounterSet& out) {
+                            verify::reference_sequentiality(trace, image,
+                                                            layout)
+                                .export_counters(out);
+                          });
   }
   return result;
 }
@@ -862,7 +803,9 @@ ExperimentRunner make_runner(const char* name, const Env& env,
   runner.meta("scale_factor", env.scale_factor);
   runner.meta("seed", env.seed);
   runner.meta("line_bytes", std::uint64_t{env.line_bytes});
-  runner.meta("replay_mode", sim::to_string(replay_mode()));
+  // Constant since compiled became the only replay; kept so reports and
+  // their schema locks do not move.
+  runner.meta("replay_mode", "compiled");
   runner.meta("training_events", setup.training_trace().num_events());
   runner.meta("test_events", setup.test_trace().num_events());
   runner.meta("kernel_routines",

@@ -10,7 +10,10 @@
 //   STC_THREADS   - experiment grid workers        (default hardware)
 //   STC_BENCH_DIR - directory for BENCH_*.json     (default cwd)
 //   STC_VERIFY    - 1 runs every cell under the layout-equivalence oracle
-//                   (src/verify; see VERIFY.md) and aborts on any violation
+//                   (src/verify; see VERIFY.md) and aborts on any violation:
+//                   missrate/sequentiality cells are re-run through the
+//                   oracle's references, and each fetch-family plan's feed
+//                   is checked once (verify::check_plan_feed)
 //   STC_BPRED     - front-end predictor (perfect|always|bimodal|gshare|
 //                   local; default perfect). A realistic kind routes every
 //                   SEQ.3/trace-cache cell through the speculative front end
@@ -20,12 +23,6 @@
 //   STC_JOB_TIMEOUT - per-job deadline in seconds (default 0 = off); an
 //                   overrunning job is recorded as timed_out, not aborted
 //   STC_JOB_RETRIES - extra attempts per failed job (default 1)
-//   STC_REPLAY    - trace replay engine: interp|compiled|auto
-//                   (default auto = compiled). Compiled mode routes every
-//                   cell through a pre-built replay plan (src/sim/replay.h);
-//                   counters stay bit-identical to the interpreter (the
-//                   oracle's check_replay_modes proves it, and STC_VERIFY=1
-//                   re-checks every planned cell in-process)
 //   STC_BACKEND   - execution back end: off|inorder|ooo (default off).
 //                   off keeps every bench byte-identical to the
 //                   fetch-bandwidth baseline; inorder/ooo route every SEQ.3
@@ -57,6 +54,8 @@
 // The paper's absolute cache sizes (8-64KB) are scaled to this kernel's
 // executed footprint: the sweep uses 1-8KB caches, spanning the same ratio
 // of hot-code size to cache size as the original (see EXPERIMENTS.md).
+//
+// Every cell replays a memoized plan (src/sim/replay.h; plan_for below).
 //
 // Benches declare their measurement grid on an ExperimentRunner (built by
 // make_runner), run it, render their ASCII table from the aggregated
@@ -221,7 +220,7 @@ ExperimentResult measure_seq3_backend(const trace::BlockTrace& trace,
 // composed trace), "miss_pct_t<i>" per tenant, and "worst_miss_pct" (the
 // highest per-tenant rate) — the fairness number the tenant-partitioned CFA
 // targets. Under STC_VERIFY the per-tenant counters are re-summed against
-// an independent run_missrate pass.
+// an independent verify::reference_missrate pass.
 ExperimentResult measure_tenant_miss(const workload::ComposedTrace& composed,
                                      const cfg::ProgramImage& image,
                                      const cfg::AddressMap& layout,
@@ -264,35 +263,26 @@ const backend::BackendParams& backend_params();
 
 // ---- Replay engine ---------------------------------------------------------
 
-// The process-wide replay mode from STC_REPLAY (read once; "auto" resolves
-// to compiled).
-sim::ReplayMode replay_mode();
-
-// A memoized replay plan for the triple under replay_mode(), or nullptr when
-// the mode is interp or the plan build failed (faultpoint replay.compile) —
-// the cell then takes the interpreter path. `line_bytes` selects the
-// compiled line tables; 0 builds a layout-only plan (sequentiality).
-const sim::ReplayPlan* plan_for(const trace::BlockTrace& trace,
-                                const cfg::ProgramImage& image,
-                                const cfg::AddressMap& layout,
-                                std::uint32_t line_bytes);
-
-// As above, for back-end cells: compiled plans additionally carry per-block
-// latency/register tables baked for `backend`, and the cache keys on the
-// spec fingerprint so two back-end configurations never share a plan. The
-// 4-argument overload is plan_for(..., sim::BackendSpec{}) — no tables.
-const sim::ReplayPlan* plan_for(const trace::BlockTrace& trace,
+// A memoized replay plan for the triple. `line_bytes` selects the compiled
+// line tables; 0 builds a layout-only plan (sequentiality). An enabled
+// `backend` spec additionally bakes per-block latency/register tables into
+// the plan, and the cache keys on the spec fingerprint so two back-end
+// configurations never share a plan. A failed build (faultpoint
+// replay.compile) throws its Status as a StatusError, so the runner records
+// the cell as failed; the failure is not cached, so a retry rebuilds.
+const sim::ReplayPlan& plan_for(const trace::BlockTrace& trace,
                                 const cfg::ProgramImage& image,
                                 const cfg::AddressMap& layout,
                                 std::uint32_t line_bytes,
-                                const sim::BackendSpec& backend);
+                                const sim::BackendSpec& backend = {});
 
 // One timed replay-throughput cell (bench/replay_throughput.cpp and the
-// schema-lock test). Runs the selected simulator over the triple in the
-// requested mode, timing the replay loop ("seconds", "events_per_sec") and —
-// for compiled mode — the plan build ("plan_seconds"). The counters are
-// always cross-checked against an untimed interpreter run; a divergence
-// throws StatusError so the runner records the cell as failed.
+// schema-lock test). Builds a plan for the triple and runs the selected
+// simulator on it, timing the replay loop ("seconds", "events_per_sec") and
+// the plan build ("plan_seconds"). Untimed, missrate and sequentiality
+// counters are then checked against the oracle's references, and the other
+// kinds' plan against the reference feed (verify::check_plan_feed); a
+// divergence throws StatusError so the runner records the cell as failed.
 enum class ReplaySimKind { kMissRate, kSequentiality, kSeq3, kTraceCache,
                            kBackend };
 const char* to_string(ReplaySimKind kind);
@@ -300,8 +290,17 @@ ExperimentResult measure_replay_cell(const trace::BlockTrace& trace,
                                      const cfg::ProgramImage& image,
                                      const cfg::AddressMap& layout,
                                      const sim::CacheGeometry& geometry,
-                                     ReplaySimKind sim_kind,
-                                     sim::ReplayMode mode);
+                                     ReplaySimKind sim_kind);
+
+// The same cell timed through the oracle's reference (verify/reference.h)
+// instead of a plan; only kMissRate and kSequentiality have one. Carries
+// "seconds" and "events_per_sec" and the same counters as
+// measure_replay_cell.
+ExperimentResult measure_reference_cell(const trace::BlockTrace& trace,
+                                        const cfg::ProgramImage& image,
+                                        const cfg::AddressMap& layout,
+                                        const sim::CacheGeometry& geometry,
+                                        ReplaySimKind sim_kind);
 
 // Convenience wrappers extracting the single headline metric.
 double miss_pct(Setup& setup, const cfg::AddressMap& layout,

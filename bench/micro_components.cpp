@@ -27,11 +27,17 @@ struct MicroInputs {
     wcfg = testing::random_wcfg(*image, rng);
     trace = testing::random_trace(*image, rng, 200000);
     layout = cfg::AddressMap::original(*image);
+    plan = std::make_unique<const sim::ReplayPlan>(
+        sim::build_replay_plan(sim::ReplayMode::kCompiled, trace, *image,
+                               layout, kLineBytes)
+            .take());
   }
+  static constexpr std::uint32_t kLineBytes = 32;
   std::unique_ptr<cfg::ProgramImage> image;
   profile::WeightedCFG wcfg;
   trace::BlockTrace trace;
   cfg::AddressMap layout;
+  std::unique_ptr<const sim::ReplayPlan> plan;
 };
 
 // Repeats `body` `iterations` times and returns a result carrying the
@@ -98,9 +104,8 @@ int main() {
         {{"component", "sim"}, {"cache_bytes", std::to_string(cache_bytes)}},
         [&in, trace_events, cache_bytes] {
           return timed(5, trace_events, [&in, cache_bytes] {
-            sim::ICache cache({cache_bytes, 32, 1});
-            return sim::run_missrate(in.trace, *in.image, in.layout, cache)
-                .misses;
+            sim::ICache cache({cache_bytes, MicroInputs::kLineBytes, 1});
+            return sim::replay_missrate(*in.plan, cache).misses;
           });
         }));
   }
@@ -108,9 +113,8 @@ int main() {
                             [&in, trace_events] {
     return timed(5, trace_events, [&in] {
       sim::FetchParams params;
-      sim::ICache cache({4096, 32, 1});
-      return sim::run_seq3(in.trace, *in.image, in.layout, params, &cache)
-          .cycles;
+      sim::ICache cache({4096, MicroInputs::kLineBytes, 1});
+      return sim::run_seq3(*in.plan, params, &cache).cycles;
     });
   }));
   jobs.push_back(runner.add("stc layout build", {{"component", "layout"}},

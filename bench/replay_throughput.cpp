@@ -1,19 +1,24 @@
-// Replay-engine throughput: events/second for every simulator — including
-// the full back-end pipeline ("backend", fixed default-ooo machine) — under
-// the interp and compiled replay engines over the pinned Test trace.
+// Replay throughput: events/second for every simulator — including the
+// full back-end pipeline ("backend", fixed default-ooo machine) — replaying
+// a compiled plan of the pinned Test trace ("compiled" rows). The miss-rate
+// and sequentiality kernels also get an "interp" row: the oracle's
+// per-event reference (verify/reference.h), a genuinely different
+// implementation. SEQ.3, the trace cache and the back end have no second
+// implementation, so their rows are compiled only.
 //
-// Every cell times its own replay loop (and, for compiled mode, the plan
-// build) and then re-runs the interpreter untimed to prove the
-// counters are bit-identical — a cell that diverges is recorded as a failed
-// job, never as a throughput number. The grid runs on a single worker so
-// the timings are not distorted by sibling cells.
+// Every compiled cell times its own replay loop and plan build and then,
+// untimed, checks its counters against the reference (missrate,
+// sequentiality) or its plan's feed against the reference stream (the
+// fetch family) — a cell that diverges is recorded as a failed job, never
+// as a throughput number. The grid runs on a single worker so the timings
+// are not distorted by sibling cells.
 //
 // tools/perf_gate.py consumes this bench's BENCH_replay_throughput.json:
-// it checks the compiled speedup ratios over interp against
+// it checks the compiled speedup ratios over the interp rows against
 // bench/perf_baseline.json with a tolerance band, failing CI on a >15%
 // throughput regression. Two extra rows cover the multi-tenant composer
 // (src/workload): "compose" replays a composed multi-tenant trace through
-// the miss-rate simulator in both modes (ratio-gated like any other sim),
+// the miss-rate kernel and its reference (ratio-gated like any other sim),
 // and "compose_build" times compose() itself — labelled interp so the
 // gate records its events/sec without a ratio.
 #include <chrono>
@@ -41,31 +46,45 @@ int main() {
   runner.time_phase("layouts", [&] { setup.layout(LayoutKind::kOrig, 0, 0); });
   const cfg::AddressMap& layout = setup.layout(LayoutKind::kOrig, 0, 0);
 
-  const sim::ReplayMode modes[] = {sim::ReplayMode::kInterp,
-                                   sim::ReplayMode::kCompiled};
-  constexpr std::size_t kNumModes = std::size(modes);
-  const bench::ReplaySimKind kinds[] = {bench::ReplaySimKind::kMissRate,
-                                        bench::ReplaySimKind::kSequentiality,
-                                        bench::ReplaySimKind::kSeq3,
-                                        bench::ReplaySimKind::kTraceCache,
-                                        bench::ReplaySimKind::kBackend};
-  constexpr std::size_t kNumKinds = std::size(kinds);
-
-  // jobs[kind][mode]
-  std::size_t jobs[kNumKinds][kNumModes];
-  for (std::size_t k = 0; k < kNumKinds; ++k) {
-    for (std::size_t m = 0; m < kNumModes; ++m) {
-      const bench::ReplaySimKind kind = kinds[k];
-      const sim::ReplayMode mode = modes[m];
-      jobs[k][m] = runner.add(
-          std::string(bench::to_string(kind)) + " " + sim::to_string(mode),
-          {{"sim", bench::to_string(kind)}, {"mode", sim::to_string(mode)}},
-          [&setup, &layout, geometry, kind, mode] {
-            return bench::measure_replay_cell(setup.test_trace(),
-                                              setup.image(), layout, geometry,
-                                              kind, mode);
+  // A row's interp and compiled jobs; interp is kNoJob for the simulators
+  // without a reference.
+  constexpr std::size_t kNoJob = ~std::size_t{0};
+  struct Row {
+    std::string name;
+    std::size_t interp = kNoJob;
+    std::size_t compiled = kNoJob;
+  };
+  // Adds the jobs of one simulator over `trace`, named `sim`.
+  const auto add_row = [&](const std::string& sim,
+                           const trace::BlockTrace& trace,
+                           bench::ReplaySimKind kind, bool with_reference) {
+    Row row{sim};
+    if (with_reference) {
+      row.interp = runner.add(
+          sim + " interp", {{"sim", sim}, {"mode", "interp"}},
+          [&setup, &layout, t = &trace, geometry, kind] {
+            return bench::measure_reference_cell(*t, setup.image(), layout,
+                                                 geometry, kind);
           });
     }
+    row.compiled = runner.add(
+        sim + " compiled", {{"sim", sim}, {"mode", "compiled"}},
+        [&setup, &layout, t = &trace, geometry, kind] {
+          return bench::measure_replay_cell(*t, setup.image(), layout,
+                                            geometry, kind);
+        });
+    return row;
+  };
+
+  std::vector<Row> rows;
+  for (const bench::ReplaySimKind kind :
+       {bench::ReplaySimKind::kMissRate, bench::ReplaySimKind::kSequentiality,
+        bench::ReplaySimKind::kSeq3, bench::ReplaySimKind::kTraceCache,
+        bench::ReplaySimKind::kBackend}) {
+    const bool with_reference = kind == bench::ReplaySimKind::kMissRate ||
+                                kind == bench::ReplaySimKind::kSequentiality;
+    rows.push_back(add_row(bench::to_string(kind), setup.test_trace(), kind,
+                           with_reference));
   }
 
   // ---- composer rows -------------------------------------------------------
@@ -120,40 +139,30 @@ int main() {
         result.counters().add("blocks", r.value().trace.num_events());
         return result;
       });
-  std::size_t compose_jobs[kNumModes];
-  for (std::size_t m = 0; m < kNumModes; ++m) {
-    const sim::ReplayMode mode = modes[m];
-    compose_jobs[m] = runner.add(
-        std::string("compose ") + sim::to_string(mode),
-        {{"sim", "compose"}, {"mode", sim::to_string(mode)}},
-        [&setup, &layout, geometry, &composed, mode] {
-          return bench::measure_replay_cell(composed.trace, setup.image(),
-                                            layout, geometry,
-                                            bench::ReplaySimKind::kMissRate,
-                                            mode);
-        });
-  }
+  rows.push_back(add_row("compose", composed.trace,
+                         bench::ReplaySimKind::kMissRate, true));
   // Single worker: the cells time themselves, so they must not compete for
   // cores with sibling jobs.
   runner.run(1);
 
   TextTable table;
   table.header({"simulator", "interp ev/s", "compiled ev/s", "compiled x"});
-  const auto row = [&](const std::string& name, const std::size_t* cell) {
-    const double interp = runner.metric_or(cell[0], "events_per_sec");
-    const double compiled = runner.metric_or(cell[1], "events_per_sec");
-    table.row({name, fmt_fixed(interp, 0), fmt_fixed(compiled, 0),
+  for (const Row& row : rows) {
+    const double compiled = runner.metric_or(row.compiled, "events_per_sec");
+    if (row.interp == kNoJob) {
+      table.row({row.name, "-", fmt_fixed(compiled, 0), "-"});
+      continue;
+    }
+    const double interp = runner.metric_or(row.interp, "events_per_sec");
+    table.row({row.name, fmt_fixed(interp, 0), fmt_fixed(compiled, 0),
                fmt_fixed(interp > 0 ? compiled / interp : 0.0, 2)});
-  };
-  for (std::size_t k = 0; k < kNumKinds; ++k) {
-    row(bench::to_string(kinds[k]), jobs[k]);
   }
-  row("compose (missrate)", compose_jobs);
   std::fputs(table.render().c_str(), stdout);
   std::printf(
       "\ncompose() itself: %.0f events/sec over %llu tenants.\n"
       "Compiled replay decodes the trace once into a contiguous slab and\n"
-      "pre-resolves per-block line indices.\n",
+      "pre-resolves per-block line indices; interp is the oracle's\n"
+      "per-event reference.\n",
       runner.metric_or(build_job, "events_per_sec"),
       static_cast<unsigned long long>(tenants));
 

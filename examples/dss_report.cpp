@@ -14,6 +14,7 @@
 #include "profile/locality.h"
 #include "profile/profile.h"
 #include "sim/icache.h"
+#include "sim/replay.h"
 #include "support/table.h"
 
 using namespace stc;
@@ -115,9 +116,13 @@ int main(int argc, char** argv) {
   // The paper motivates its Training-set choice with "the large number of
   // misses attributed to the Access Methods and Buffer Manager modules".
   const auto orig = cfg::AddressMap::original(image);
+  const sim::ReplayPlan plan =
+      sim::build_replay_plan(sim::ReplayMode::kCompiled, trace, image, orig,
+                             /*line_bytes=*/32)
+          .take();
   sim::ICache cache({2048, 32, 1});
   std::vector<std::uint64_t> per_block;
-  const auto miss = sim::run_missrate(trace, image, orig, cache, &per_block);
+  const auto miss = sim::replay_missrate(plan, cache, &per_block);
   std::map<std::string, std::uint64_t> misses_by_module;
   for (cfg::BlockId b = 0; b < image.num_blocks(); ++b) {
     if (per_block[b] == 0) continue;

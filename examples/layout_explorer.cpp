@@ -5,6 +5,7 @@
 //   e.g. layout_explorer 2 0.25 0.002
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "core/layouts.h"
 #include "core/stc_layout.h"
@@ -12,6 +13,7 @@
 #include "profile/profile.h"
 #include "sim/fetch_unit.h"
 #include "sim/icache.h"
+#include "sim/replay.h"
 #include "sim/trace_cache.h"
 #include "support/table.h"
 
@@ -53,6 +55,10 @@ int main(int argc, char** argv) {
         result.num_passes, result.num_sequences);
   }
 
+  // The trace decodes once; each layout's replay plan shares the slab.
+  auto slab = std::make_shared<sim::EventSlab>();
+  slab->build(test);
+
   TextTable table;
   table.header({"layout", "miss/insn", "SEQ.3 IPC", "insn/taken", "TC IPC"});
   for (const auto kind :
@@ -60,16 +66,20 @@ int main(int argc, char** argv) {
         core::LayoutKind::kTorrellas, core::LayoutKind::kStcAuto,
         core::LayoutKind::kStcOps}) {
     const auto layout = core::make_layout(kind, wcfg, cache_bytes, cfa_bytes);
+    const sim::ReplayPlan plan =
+        sim::build_replay_plan(sim::ReplayMode::kCompiled, slab, image, layout,
+                               /*line_bytes=*/32)
+            .take();
     sim::ICache c1({cache_bytes, 32, 1});
-    const auto miss = sim::run_missrate(test, image, layout, c1);
+    const auto miss = sim::replay_missrate(plan, c1);
     sim::FetchParams params;
     sim::ICache c2({cache_bytes, 32, 1});
-    const auto fetch = sim::run_seq3(test, image, layout, params, &c2);
-    const auto seq = trace::measure_sequentiality(test, image, layout);
+    const auto fetch = sim::run_seq3(plan, params, &c2);
+    const auto seq = sim::replay_sequentiality(plan);
     sim::TraceCacheParams tc;
     tc.entries = 64;
     sim::ICache c3({cache_bytes, 32, 1});
-    const auto tcr = sim::run_trace_cache(test, image, layout, params, tc, &c3);
+    const auto tcr = sim::run_trace_cache(plan, params, tc, &c3);
     table.row({core::to_string(kind),
                fmt_fixed(miss.misses_per_100_insns(), 2) + "%",
                fmt_fixed(fetch.ipc(), 2),

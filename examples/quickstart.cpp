@@ -13,6 +13,7 @@
 #include "profile/profile.h"
 #include "sim/fetch_unit.h"
 #include "sim/icache.h"
+#include "sim/replay.h"
 #include "trace/block_trace.h"
 
 using namespace stc;
@@ -63,13 +64,17 @@ int main() {
                                             cache_bytes, cache_bytes / 4);
 
   for (const auto* entry : {&orig, &stc_layout}) {
+    // A replay plan resolves the trace under one layout and line size once;
+    // every simulator reads it.
+    const sim::ReplayPlan plan =
+        sim::build_replay_plan(sim::ReplayMode::kCompiled, trace,
+                               db::kernel_image(), *entry, /*line_bytes=*/32)
+            .take();
     sim::ICache cache({cache_bytes, 32, 1});
-    const auto miss =
-        sim::run_missrate(trace, db::kernel_image(), *entry, cache);
+    const auto miss = sim::replay_missrate(plan, cache);
     sim::FetchParams params;
     sim::ICache cache2({cache_bytes, 32, 1});
-    const auto fetch =
-        sim::run_seq3(trace, db::kernel_image(), *entry, params, &cache2);
+    const auto fetch = sim::run_seq3(plan, params, &cache2);
     std::printf("%-8s  miss/insn = %5.2f%%   fetch bandwidth = %4.2f IPC\n",
                 entry->name().c_str(), miss.misses_per_100_insns(),
                 fetch.ipc());

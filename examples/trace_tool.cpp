@@ -21,6 +21,7 @@
 #include "profile/profile.h"
 #include "sim/fetch_unit.h"
 #include "sim/icache.h"
+#include "sim/replay.h"
 
 using namespace stc;
 
@@ -110,7 +111,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(fp.executed_routines),
                 static_cast<unsigned long long>(fp.total_routines));
     const auto orig = cfg::AddressMap::original(image);
-    const auto seq = trace::measure_sequentiality(trace, image, orig);
+    const auto seq = sim::replay_sequentiality(
+        sim::build_replay_plan(sim::ReplayMode::kCompiled, trace, image, orig,
+                               /*line_bytes=*/0)
+            .take());
     std::printf("original layout: %.1f instructions between taken branches\n",
                 seq.insns_between_taken_branches());
     return 0;
@@ -134,12 +138,16 @@ int main(int argc, char** argv) {
     const auto wcfg = profile::WeightedCFG::from_profile(prof);
     const auto layout = core::make_layout(kind, wcfg, cache_bytes, cfa_bytes);
 
+    const sim::ReplayPlan plan =
+        sim::build_replay_plan(sim::ReplayMode::kCompiled, trace, image,
+                               layout, /*line_bytes=*/32)
+            .take();
     sim::ICache cache({cache_bytes, 32, 1});
-    const auto miss = sim::run_missrate(trace, image, layout, cache);
+    const auto miss = sim::replay_missrate(plan, cache);
     sim::FetchParams params;
     sim::ICache cache2({cache_bytes, 32, 1});
-    const auto fetch = sim::run_seq3(trace, image, layout, params, &cache2);
-    const auto seq = trace::measure_sequentiality(trace, image, layout);
+    const auto fetch = sim::run_seq3(plan, params, &cache2);
+    const auto seq = sim::replay_sequentiality(plan);
     std::printf("%s @ %uB cache / %uB CFA: miss/insn %.2f%%, SEQ.3 %.2f IPC, "
                 "%.1f insns between taken branches\n",
                 core::to_string(kind), cache_bytes, cfa_bytes,

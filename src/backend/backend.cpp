@@ -6,7 +6,6 @@
 
 #include "support/check.h"
 #include "support/env.h"
-#include "support/faultpoint.h"
 
 namespace stc::backend {
 
@@ -100,12 +99,7 @@ bool Backend::dep_satisfied(std::uint64_t dep, std::uint64_t now) const {
   return entry.issued && now >= entry.done_cycle;
 }
 
-Status Backend::dispatch(const BackendOp& op) {
-  if (Status s = fault::fail_if("backend.dispatch",
-                                "dispatching a decoded op");
-      !s.is_ok()) {
-    return s;
-  }
+void Backend::dispatch(const BackendOp& op) {
   STC_REQUIRE(can_dispatch());
   RobEntry& entry = rob_[next_seq_ % params_.rob_depth];
   entry.seq = next_seq_;
@@ -122,7 +116,6 @@ Status Backend::dispatch(const BackendOp& op) {
   ++stats_->dispatched_ops;
   stats_->iq_peak = std::max<std::uint64_t>(stats_->iq_peak, iq_.size());
   stats_->rob_peak = std::max(stats_->rob_peak, in_flight());
-  return Status::ok();
 }
 
 void Backend::step(std::uint64_t now) {

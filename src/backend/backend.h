@@ -23,10 +23,10 @@
 //
 // Selected with STC_BACKEND=off|inorder|ooo (STC_IQ_DEPTH / STC_ROB_DEPTH
 // size the window); `off` — the default — keeps every existing bench
-// byte-identical because the pipeline is never constructed. Dispatch runs
-// through faultpoint "backend.dispatch" so fault-injection tests can prove
-// a failed dispatch surfaces as a structured job failure, not a silently
-// different measurement.
+// byte-identical because the pipeline is never constructed. Each pipeline
+// run (pipeline.h) fires faultpoint "backend.dispatch" once, before its
+// first op, so fault-injection tests can prove a failed run surfaces as a
+// structured job failure, not a silently different measurement.
 #pragma once
 
 #include <cstdint>
@@ -129,10 +129,8 @@ class Backend {
   bool rob_full() const { return in_flight() >= params_.rob_depth; }
   bool can_dispatch() const { return !iq_full() && !rob_full(); }
 
-  // Inserts one op at the window tail. Requires can_dispatch(). Fires
-  // faultpoint "backend.dispatch"; on a fault the op is NOT inserted and
-  // the caller must abandon the run (PR 4 error contract).
-  Status dispatch(const BackendOp& op);
+  // Inserts one op at the window tail. Requires can_dispatch().
+  void dispatch(const BackendOp& op);
 
   // One cycle at time `now`: retire up to commit_width completed ops in
   // program order, then issue up to issue_width ready ops. Also samples the

@@ -4,6 +4,7 @@
 
 #include "frontend/engine.h"
 #include "support/check.h"
+#include "support/faultpoint.h"
 
 namespace stc::backend {
 
@@ -11,58 +12,55 @@ namespace {
 
 using sim::FetchPipe;
 
-// Produces the BackendOp for each completed basic block, in trace order.
-// Two sources behind one call: the interpreter path computes latency and
-// register names from the shared BackendSpec helpers; the plan path walks
-// the event slab in lockstep with the fetch stream and reads the values
-// from the plan's compiled back-end tables. Identical results by
-// construction — the DCHECKs pin the lockstep.
+// Produces the BackendOp for each completed basic block, in trace order:
+// walks the event slab in lockstep with the fetch stream and reads latency
+// and register names from the plan's back-end tables. The DCHECKs pin the
+// lockstep.
 class OpSource {
  public:
-  explicit OpSource(const sim::BackendSpec& spec) : spec_(spec) {}
-  OpSource(const sim::BackendSpec& spec, const sim::ReplayPlan& plan)
-      : spec_(spec), plan_(&plan) {
-    STC_CHECK_MSG(plan.backend().valid(),
-                  "back-end replay needs a plan built with the back-end spec");
-    // The plan cache keys on the spec fingerprint, so a plan with tables
-    // for a different config can only reach here through a caller bug.
-    STC_DCHECK(plan.backend().spec() == spec);
-  }
+  explicit OpSource(const sim::ReplayPlan& plan) : plan_(plan) {}
 
-  BackendOp next(std::uint64_t block_start, std::uint32_t block_insns,
-                 cfg::BlockKind kind) {
+  BackendOp next(std::uint64_t block_start, std::uint32_t block_insns) {
     BackendOp op;
     op.addr = block_start;
     op.insns = block_insns;
-    if (plan_ != nullptr) {
-      const cfg::BlockId b = plan_->slab()[cursor_++];
-      STC_DCHECK(plan_->meta().addr(b) == block_start);
-      STC_DCHECK(plan_->meta().insns(b) == block_insns);
-      const sim::BackendTable& table = plan_->backend();
-      op.latency = table.latency(b);
-      op.dest = table.dest(b);
-      op.src1 = table.src1(b);
-      op.src2 = table.src2(b);
-      return op;
-    }
-    op.latency = sim::backend_op_latency(spec_, block_insns, kind);
-    sim::backend_op_regs(block_start, block_insns, &op.dest, &op.src1,
-                         &op.src2);
+    const cfg::BlockId b = plan_.slab()[cursor_++];
+    STC_DCHECK(plan_.meta().addr(b) == block_start);
+    STC_DCHECK(plan_.meta().insns(b) == block_insns);
+    const sim::BackendTable& table = plan_.backend();
+    op.latency = table.latency(b);
+    op.dest = table.dest(b);
+    op.src1 = table.src1(b);
+    op.src2 = table.src2(b);
     return op;
   }
 
  private:
-  const sim::BackendSpec spec_;
-  const sim::ReplayPlan* plan_ = nullptr;
+  const sim::ReplayPlan& plan_;
   std::size_t cursor_ = 0;
 };
 
-Result<BackendResult> run_pipe(FetchPipe& pipe, OpSource& source,
-                               const sim::FetchParams& fetch_params,
-                               const frontend::FrontEndParams& fe_params,
-                               const BackendParams& backend_params,
-                               sim::ICache* cache) {
+}  // namespace
+
+Result<BackendResult> run_seq3_backend(const sim::ReplayPlan& plan,
+                                       const sim::FetchParams& fetch_params,
+                                       const frontend::FrontEndParams& fe_params,
+                                       const BackendParams& backend_params,
+                                       sim::ICache* cache) {
   STC_REQUIRE(!backend_params.off());
+  // One fault point per run, not per op: an unarmed check costs a registry
+  // lookup, which would dominate a per-op loop.
+  if (Status s = fault::fail_if("backend.dispatch", "starting a back-end run");
+      !s.is_ok()) {
+    return s.with_context("backend pipeline");
+  }
+  STC_CHECK_MSG(plan.backend().valid(),
+                "back-end replay needs a plan built with the back-end spec");
+  // The plan cache keys on the spec fingerprint, so a plan with tables for
+  // a different config can only reach here through a caller bug.
+  STC_DCHECK(plan.backend().spec() == backend_params.spec());
+  FetchPipe pipe(plan);
+  OpSource source(plan);
   STC_REQUIRE(fetch_params.perfect_icache || cache != nullptr);
   if (cache != nullptr) cache->reset();
   const std::uint32_t line_bytes =
@@ -110,7 +108,7 @@ Result<BackendResult> run_pipe(FetchPipe& pipe, OpSource& source,
           }
           ++block_insns;
           if (insn.block_end) {
-            fifo.push_back(source.next(block_start, block_insns, insn.kind));
+            fifo.push_back(source.next(block_start, block_insns));
             in_block = false;
           }
         }
@@ -129,9 +127,7 @@ Result<BackendResult> run_pipe(FetchPipe& pipe, OpSource& source,
         }
         break;
       }
-      if (Status s = backend.dispatch(fifo.front()); !s.is_ok()) {
-        return s.with_context("backend pipeline");
-      }
+      backend.dispatch(fifo.front());
       fifo.pop_front();
       ++dispatched;
     }
@@ -142,32 +138,6 @@ Result<BackendResult> run_pipe(FetchPipe& pipe, OpSource& source,
   result.fetch.cycles = now;
   result.backend.cycles = now;
   return result;
-}
-
-}  // namespace
-
-Result<BackendResult> run_seq3_backend(const trace::BlockTrace& trace,
-                                       const cfg::ProgramImage& image,
-                                       const cfg::AddressMap& layout,
-                                       const sim::FetchParams& fetch_params,
-                                       const frontend::FrontEndParams& fe_params,
-                                       const BackendParams& backend_params,
-                                       sim::ICache* cache) {
-  FetchPipe pipe(trace, image, layout);
-  OpSource source(backend_params.spec());
-  return run_pipe(pipe, source, fetch_params, fe_params, backend_params,
-                  cache);
-}
-
-Result<BackendResult> run_seq3_backend(const sim::ReplayPlan& plan,
-                                       const sim::FetchParams& fetch_params,
-                                       const frontend::FrontEndParams& fe_params,
-                                       const BackendParams& backend_params,
-                                       sim::ICache* cache) {
-  FetchPipe pipe(plan);
-  OpSource source(backend_params.spec(), plan);
-  return run_pipe(pipe, source, fetch_params, fe_params, backend_params,
-                  cache);
 }
 
 }  // namespace stc::backend

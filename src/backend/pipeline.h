@@ -15,22 +15,17 @@
 // The run ends when the trace, the FIFO and the window are all drained, so
 // fetch.cycles == be_cycles and retired_insns == fetched instructions.
 //
-// Both overloads produce bit-identical counters: the interpreter path
-// computes each op's latency/registers from the shared BackendSpec helpers
-// per event; the plan path reads the same values from the plan's compiled
-// back-end tables. check_replay_modes proves the identity on every verified
-// run.
+// Each op's latency and registers come from the plan's back-end tables;
+// verify::check_plan_feed proves those equal the BackendSpec helpers
+// computed from the image and layout.
 #pragma once
 
 #include "backend/backend.h"
-#include "cfg/address_map.h"
-#include "cfg/program.h"
 #include "frontend/front_end.h"
 #include "sim/fetch_unit.h"
 #include "sim/icache.h"
 #include "sim/replay.h"
 #include "support/error.h"
-#include "trace/block_trace.h"
 
 namespace stc::backend {
 
@@ -42,23 +37,14 @@ struct BackendResult {
   double ipc() const { return backend.ipc(); }
 };
 
-// Runs the full trace through the pipeline. `cache` may be null only with
-// fetch_params.perfect_icache. Requires !backend_params.off() — backend-off
-// callers use the plain simulators (bench::measure_seq3 routes this).
-// The only failure is an injected "backend.dispatch" fault, surfaced as a
-// structured Status per the PR 4 contract.
-Result<BackendResult> run_seq3_backend(const trace::BlockTrace& trace,
-                                       const cfg::ProgramImage& image,
-                                       const cfg::AddressMap& layout,
-                                       const sim::FetchParams& fetch_params,
-                                       const frontend::FrontEndParams& fe_params,
-                                       const BackendParams& backend_params,
-                                       sim::ICache* cache);
-
-// Compiled replay from a pre-built plan (sim/replay.h); counters are
-// bit-identical to the interpreter overload. The plan must carry back-end
-// tables (a missing table aborts), built with backend_params.spec() — the
-// ReplayPlanCache keys on the spec fingerprint to guarantee it.
+// Runs the plan's whole trace (sim/replay.h) through the pipeline. `cache`
+// may be null only with fetch_params.perfect_icache. Requires
+// !backend_params.off() — backend-off callers use the plain simulators
+// (bench::measure_seq3 routes this). The plan must carry back-end tables
+// (a missing table aborts), built with backend_params.spec() — the
+// ReplayPlanCache keys on the spec fingerprint to guarantee it. The only
+// failure is an injected "backend.dispatch" fault, which fires once per
+// run before the first op and is surfaced as a structured Status.
 Result<BackendResult> run_seq3_backend(const sim::ReplayPlan& plan,
                                        const sim::FetchParams& fetch_params,
                                        const frontend::FrontEndParams& fe_params,

@@ -10,17 +10,57 @@
 
 namespace stc::frontend {
 
-namespace {
-
 using sim::FetchPipe;
 
-// The SEQ.3 front-end loop, backend-agnostic: both run_seq3_frontend
-// overloads feed it a FetchPipe (interpreter- or plan-backed) and get
-// bit-identical counters.
-FrontEndResult run_seq3_frontend_pipe(FetchPipe& pipe,
-                                      const sim::FetchParams& fetch_params,
-                                      const FrontEndParams& fe_params,
-                                      sim::ICache* cache) {
+Result<FrontEndParams> FrontEndParams::try_from_environment() {
+  FrontEndParams params;
+  Result<std::string> bpred = env::bpred();
+  if (!bpred.is_ok()) return bpred.status();
+  const bool ok = parse_bpred(bpred.value().c_str(), &params.kind);
+  STC_CHECK_MSG(ok, "env::bpred() returned an unknown predictor name");
+  params.prefetch = params.kind != BpredKind::kPerfect;
+  Result<std::uint32_t> depth = env::ftq_depth();
+  if (!depth.is_ok()) return depth.status();
+  params.ftq_depth = depth.value();
+  if (params.ftq_depth == 0) params.prefetch = false;
+  return params;
+}
+
+FrontEndParams FrontEndParams::from_environment() {
+  Result<FrontEndParams> params = try_from_environment();
+  if (!params.is_ok()) {
+    std::fprintf(stderr, "environment: %s\n",
+                 params.status().to_string().c_str());
+    std::exit(2);
+  }
+  return params.value();
+}
+
+void FrontEndStats::export_counters(CounterSet& out) const {
+  out.add("bp_lookups", bp_lookups);
+  out.add("bp_mispredicts", bp_mispredicts);
+  out.add("bp_bubble_cycles", bp_bubble_cycles);
+  out.add("btb_lookups", btb_lookups);
+  out.add("btb_misses", btb_misses);
+  out.add("ras_pushes", ras_pushes);
+  out.add("ras_pops", ras_pops);
+  out.add("prefetch_issued", prefetch_issued);
+  out.add("prefetch_useful", prefetch_useful);
+  out.add("prefetch_late", prefetch_late);
+  out.add("prefetch_evicted", prefetch_evicted);
+  out.add("prefetch_late_cycles", prefetch_late_cycles);
+}
+
+FrontEndResult run_seq3_frontend(const sim::ReplayPlan& plan,
+                                 const sim::FetchParams& fetch_params,
+                                 const FrontEndParams& fe_params,
+                                 sim::ICache* cache) {
+  if (fe_params.transparent()) {
+    FrontEndResult result;
+    result.fetch = sim::run_seq3(plan, fetch_params, cache);
+    return result;
+  }
+  FetchPipe pipe(plan);
   FrontEndResult result;
   STC_REQUIRE(fetch_params.perfect_icache || cache != nullptr);
   if (cache != nullptr) cache->reset();
@@ -50,11 +90,17 @@ FrontEndResult run_seq3_frontend_pipe(FetchPipe& pipe,
   return result;
 }
 
-// Same for the trace-cache front end.
-FrontEndResult run_trace_cache_frontend_pipe(
-    FetchPipe& pipe, const sim::FetchParams& fetch_params,
-    const sim::TraceCacheParams& tc_params, const FrontEndParams& fe_params,
-    sim::ICache* cache) {
+FrontEndResult run_trace_cache_frontend(const sim::ReplayPlan& plan,
+                                        const sim::FetchParams& fetch_params,
+                                        const sim::TraceCacheParams& tc_params,
+                                        const FrontEndParams& fe_params,
+                                        sim::ICache* cache) {
+  if (fe_params.transparent()) {
+    FrontEndResult result;
+    result.fetch = sim::run_trace_cache(plan, fetch_params, tc_params, cache);
+    return result;
+  }
+  FetchPipe pipe(plan);
   FrontEndResult result;
   STC_REQUIRE(fetch_params.perfect_icache || cache != nullptr);
   if (cache != nullptr) cache->reset();
@@ -113,108 +159,6 @@ FrontEndResult run_trace_cache_frontend_pipe(
   result.fetch.tc_fills = tc.stored_traces();
   result.fetch.tc_probes = tc.probes();
   return result;
-}
-
-}  // namespace
-
-Result<FrontEndParams> FrontEndParams::try_from_environment() {
-  FrontEndParams params;
-  Result<std::string> bpred = env::bpred();
-  if (!bpred.is_ok()) return bpred.status();
-  const bool ok = parse_bpred(bpred.value().c_str(), &params.kind);
-  STC_CHECK_MSG(ok, "env::bpred() returned an unknown predictor name");
-  params.prefetch = params.kind != BpredKind::kPerfect;
-  Result<std::uint32_t> depth = env::ftq_depth();
-  if (!depth.is_ok()) return depth.status();
-  params.ftq_depth = depth.value();
-  if (params.ftq_depth == 0) params.prefetch = false;
-  return params;
-}
-
-FrontEndParams FrontEndParams::from_environment() {
-  Result<FrontEndParams> params = try_from_environment();
-  if (!params.is_ok()) {
-    std::fprintf(stderr, "environment: %s\n",
-                 params.status().to_string().c_str());
-    std::exit(2);
-  }
-  return params.value();
-}
-
-void FrontEndStats::export_counters(CounterSet& out) const {
-  out.add("bp_lookups", bp_lookups);
-  out.add("bp_mispredicts", bp_mispredicts);
-  out.add("bp_bubble_cycles", bp_bubble_cycles);
-  out.add("btb_lookups", btb_lookups);
-  out.add("btb_misses", btb_misses);
-  out.add("ras_pushes", ras_pushes);
-  out.add("ras_pops", ras_pops);
-  out.add("prefetch_issued", prefetch_issued);
-  out.add("prefetch_useful", prefetch_useful);
-  out.add("prefetch_late", prefetch_late);
-  out.add("prefetch_evicted", prefetch_evicted);
-  out.add("prefetch_late_cycles", prefetch_late_cycles);
-}
-
-FrontEndResult run_seq3_frontend(const trace::BlockTrace& trace,
-                                 const cfg::ProgramImage& image,
-                                 const cfg::AddressMap& layout,
-                                 const sim::FetchParams& fetch_params,
-                                 const FrontEndParams& fe_params,
-                                 sim::ICache* cache) {
-  if (fe_params.transparent()) {
-    FrontEndResult result;
-    result.fetch = sim::run_seq3(trace, image, layout, fetch_params, cache);
-    return result;
-  }
-  FetchPipe pipe(trace, image, layout);
-  return run_seq3_frontend_pipe(pipe, fetch_params, fe_params, cache);
-}
-
-FrontEndResult run_seq3_frontend(const sim::ReplayPlan& plan,
-                                 const sim::FetchParams& fetch_params,
-                                 const FrontEndParams& fe_params,
-                                 sim::ICache* cache) {
-  if (fe_params.transparent()) {
-    FrontEndResult result;
-    result.fetch = sim::run_seq3(plan, fetch_params, cache);
-    return result;
-  }
-  FetchPipe pipe(plan);
-  return run_seq3_frontend_pipe(pipe, fetch_params, fe_params, cache);
-}
-
-FrontEndResult run_trace_cache_frontend(const trace::BlockTrace& trace,
-                                        const cfg::ProgramImage& image,
-                                        const cfg::AddressMap& layout,
-                                        const sim::FetchParams& fetch_params,
-                                        const sim::TraceCacheParams& tc_params,
-                                        const FrontEndParams& fe_params,
-                                        sim::ICache* cache) {
-  if (fe_params.transparent()) {
-    FrontEndResult result;
-    result.fetch = sim::run_trace_cache(trace, image, layout, fetch_params,
-                                        tc_params, cache);
-    return result;
-  }
-  FetchPipe pipe(trace, image, layout);
-  return run_trace_cache_frontend_pipe(pipe, fetch_params, tc_params,
-                                       fe_params, cache);
-}
-
-FrontEndResult run_trace_cache_frontend(const sim::ReplayPlan& plan,
-                                        const sim::FetchParams& fetch_params,
-                                        const sim::TraceCacheParams& tc_params,
-                                        const FrontEndParams& fe_params,
-                                        sim::ICache* cache) {
-  if (fe_params.transparent()) {
-    FrontEndResult result;
-    result.fetch = sim::run_trace_cache(plan, fetch_params, tc_params, cache);
-    return result;
-  }
-  FetchPipe pipe(plan);
-  return run_trace_cache_frontend_pipe(pipe, fetch_params, tc_params,
-                                       fe_params, cache);
 }
 
 }  // namespace stc::frontend

@@ -38,7 +38,6 @@
 #include "sim/icache.h"
 #include "sim/trace_cache.h"
 #include "support/stats.h"
-#include "trace/block_trace.h"
 
 namespace stc::frontend {
 
@@ -100,17 +99,9 @@ struct FrontEndResult {
   FrontEndStats frontend;
 };
 
-// SEQ.3 behind the speculative front end. `cache` may be null only with
-// fetch_params.perfect_icache (which also disables prefetching).
-FrontEndResult run_seq3_frontend(const trace::BlockTrace& trace,
-                                 const cfg::ProgramImage& image,
-                                 const cfg::AddressMap& layout,
-                                 const sim::FetchParams& fetch_params,
-                                 const FrontEndParams& fe_params,
-                                 sim::ICache* cache);
-
-// Compiled replay from a pre-built plan (sim/replay.h); counters are
-// bit-identical to the interpreter overload.
+// SEQ.3 behind the speculative front end, over the plan's trace
+// (sim/replay.h). `cache` may be null only with fetch_params.perfect_icache
+// (which also disables prefetching).
 FrontEndResult run_seq3_frontend(const sim::ReplayPlan& plan,
                                  const sim::FetchParams& fetch_params,
                                  const FrontEndParams& fe_params,
@@ -121,16 +112,6 @@ FrontEndResult run_seq3_frontend(const sim::ReplayPlan& plan,
 // path diverges from the current predictions is rejected (counted as a
 // trace-cache miss) even though the actual path matches, because the
 // machine would not have followed it.
-FrontEndResult run_trace_cache_frontend(const trace::BlockTrace& trace,
-                                        const cfg::ProgramImage& image,
-                                        const cfg::AddressMap& layout,
-                                        const sim::FetchParams& fetch_params,
-                                        const sim::TraceCacheParams& tc_params,
-                                        const FrontEndParams& fe_params,
-                                        sim::ICache* cache);
-
-// Compiled replay from a pre-built plan (sim/replay.h); counters are
-// bit-identical to the interpreter overload.
 FrontEndResult run_trace_cache_frontend(const sim::ReplayPlan& plan,
                                         const sim::FetchParams& fetch_params,
                                         const sim::TraceCacheParams& tc_params,

@@ -17,30 +17,16 @@ void FetchResult::export_counters(CounterSet& out) const {
   out.add("tc_probes", tc_probes);
 }
 
-FetchPipe::FetchPipe(const trace::BlockTrace& trace,
-                     const cfg::ProgramImage& image,
-                     const cfg::AddressMap& layout) {
-  stream_.emplace(trace, image, layout);
-  refill(1);
-}
-
-FetchPipe::FetchPipe(const ReplayPlan& plan) : plan_(&plan) {
-  refill(1);
-}
+FetchPipe::FetchPipe(const ReplayPlan& plan) : plan_(plan) { refill(1); }
 
 void FetchPipe::refill(std::uint32_t needed_insns) {
   while (!stream_done_ && buffered_insns_ < needed_insns) {
-    trace::BlockRun run;
-    if (plan_ != nullptr) {
-      if (next_event_ >= plan_->num_events()) {
-        stream_done_ = true;
-        break;
-      }
-      plan_->make_run(next_event_++, run);
-    } else if (!stream_->next(run)) {
+    if (next_event_ >= plan_.num_events()) {
       stream_done_ = true;
       break;
     }
+    trace::BlockRun run;
+    plan_.make_run(next_event_++, run);
     buffered_insns_ += run.insns;
     buffer_.push_back(run);
   }
@@ -116,12 +102,9 @@ Seq3Cycle seq3_fetch_cycle(FetchPipe& pipe, const FetchParams& params,
   return cycle;
 }
 
-namespace {
-
-// The simulation proper, backend-agnostic: both run_seq3 overloads feed it
-// a FetchPipe and get bit-identical counters.
-FetchResult run_seq3_pipe(FetchPipe& pipe, const FetchParams& params,
-                          ICache* cache) {
+FetchResult run_seq3(const ReplayPlan& plan, const FetchParams& params,
+                     ICache* cache) {
+  FetchPipe pipe(plan);
   STC_REQUIRE(params.perfect_icache || cache != nullptr);
   if (cache != nullptr) cache->reset();
   const std::uint32_t line_bytes =
@@ -148,22 +131,6 @@ FetchResult run_seq3_pipe(FetchPipe& pipe, const FetchParams& params,
     }
   }
   return result;
-}
-
-}  // namespace
-
-FetchResult run_seq3(const trace::BlockTrace& trace,
-                     const cfg::ProgramImage& image,
-                     const cfg::AddressMap& layout, const FetchParams& params,
-                     ICache* cache) {
-  FetchPipe pipe(trace, image, layout);
-  return run_seq3_pipe(pipe, params, cache);
-}
-
-FetchResult run_seq3(const ReplayPlan& plan, const FetchParams& params,
-                     ICache* cache) {
-  FetchPipe pipe(plan);
-  return run_seq3_pipe(pipe, params, cache);
 }
 
 }  // namespace stc::sim

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <vector>
 
 #include "cfg/address_map.h"
@@ -27,11 +26,10 @@ class ReplayPlan;  // sim/replay.h
 // Instruction-granular cursor over the dynamic path with bounded lookahead.
 // Shared by the sequential fetch unit and the trace cache simulator.
 //
-// Two interchangeable backends feed it: the interpreter's BlockRunStream, or
-// a pre-built ReplayPlan whose make_run() materializes the identical
-// BlockRun values from flat tables. Everything downstream of refill() is the
-// same code either way, which is what makes compiled replay bit-identical
-// to the interpreter by construction.
+// Its one feed is a pre-built ReplayPlan: make_run() materializes each
+// event's BlockRun from flat tables. verify::check_plan_feed proves that
+// feed equals trace::BlockRunStream's, so everything downstream of refill()
+// sees what the per-event walk over the trace would give it.
 class FetchPipe {
  public:
   struct Insn {
@@ -42,9 +40,9 @@ class FetchPipe {
     cfg::BlockKind kind = cfg::BlockKind::kFallThrough;  // its block's kind
   };
 
-  FetchPipe(const trace::BlockTrace& trace, const cfg::ProgramImage& image,
-            const cfg::AddressMap& layout);
+  // The pipe reads `plan` until done(); it must outlive the pipe.
   explicit FetchPipe(const ReplayPlan& plan);
+  explicit FetchPipe(ReplayPlan&&) = delete;
 
   bool done() const { return buffer_.empty(); }
   std::uint64_t addr() const;  // current instruction address; requires !done()
@@ -59,9 +57,8 @@ class FetchPipe {
  private:
   void refill(std::uint32_t needed_insns);
 
-  std::optional<trace::BlockRunStream> stream_;  // interpreter backend
-  const ReplayPlan* plan_ = nullptr;             // compiled-plan backend
-  std::uint64_t next_event_ = 0;                 // plan cursor
+  const ReplayPlan& plan_;
+  std::uint64_t next_event_ = 0;  // plan cursor
   std::deque<trace::BlockRun> buffer_;
   std::uint32_t front_offset_ = 0;  // instructions consumed of buffer_.front()
   std::uint64_t buffered_insns_ = 0;
@@ -128,15 +125,9 @@ Seq3Cycle seq3_fetch_cycle(FetchPipe& pipe, const FetchParams& params,
                            std::uint32_t line_bytes,
                            Seq3Group* group = nullptr);
 
-// Runs the full trace through SEQ.3 backed by `cache` (reset first).
-// `cache` may be null only with params.perfect_icache.
-FetchResult run_seq3(const trace::BlockTrace& trace,
-                     const cfg::ProgramImage& image,
-                     const cfg::AddressMap& layout, const FetchParams& params,
-                     ICache* cache);
-
-// Compiled replay of the same simulation from a pre-built plan
-// (sim/replay.h); counters are bit-identical to the interpreter overload.
+// Runs the plan's whole trace (sim/replay.h) through SEQ.3 backed by
+// `cache` (reset first). `cache` may be null only with
+// params.perfect_icache.
 FetchResult run_seq3(const ReplayPlan& plan, const FetchParams& params,
                      ICache* cache);
 

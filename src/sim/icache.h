@@ -11,11 +11,8 @@
 #include <utility>
 #include <vector>
 
-#include "cfg/address_map.h"
-#include "cfg/program.h"
 #include "support/check.h"
 #include "support/stats.h"
-#include "trace/block_trace.h"
 
 namespace stc::sim {
 
@@ -102,8 +99,9 @@ class ICache {
   CacheStats stats_;
 };
 
-// ---- Table 3 driver --------------------------------------------------------
+// ---- Table 3 result --------------------------------------------------------
 
+// Counters of a Table 3 miss-rate replay (sim/replay.h replay_missrate).
 struct MissRateResult {
   std::uint64_t instructions = 0;
   std::uint64_t line_accesses = 0;
@@ -120,16 +118,5 @@ struct MissRateResult {
   // Registers the raw event counts for machine-readable reporting.
   void export_counters(CounterSet& out) const;
 };
-
-// Streams every executed instruction of the trace (under `layout`) through
-// the cache, touching each line once per crossing. When `per_block_misses`
-// is non-null it is resized to the block count and accumulates each miss
-// against the block whose instructions triggered it (the paper's per-module
-// miss attribution, Section 4 / tech report UPC-DAC-1998-56).
-MissRateResult run_missrate(const trace::BlockTrace& trace,
-                            const cfg::ProgramImage& image,
-                            const cfg::AddressMap& layout, ICache& cache,
-                            std::vector<std::uint64_t>* per_block_misses =
-                                nullptr);
 
 }  // namespace stc::sim

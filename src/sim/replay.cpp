@@ -1,35 +1,11 @@
 #include "sim/replay.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 
-#include "support/env.h"
 #include "support/faultpoint.h"
 
 namespace stc::sim {
-
-const char* to_string(ReplayMode mode) {
-  switch (mode) {
-    case ReplayMode::kInterp: return "interp";
-    case ReplayMode::kCompiled: return "compiled";
-  }
-  return "?";
-}
-
-Result<ReplayMode> parse_replay_mode(const std::string& name) {
-  if (name == "interp") return ReplayMode::kInterp;
-  if (name == "compiled" || name == "auto") return ReplayMode::kCompiled;
-  return invalid_argument_error(
-      "STC_REPLAY='" + name +
-      "': expected one of interp|compiled|auto");
-}
-
-ReplayMode replay_mode_from_env() {
-  Result<std::string> name = env::replay();
-  STC_CHECK_MSG(name.is_ok(), "STC_REPLAY not validated before use");
-  return parse_replay_mode(name.value()).value();
-}
 
 void* ReplayArena::raw_alloc(std::size_t bytes, std::size_t align) {
   STC_DCHECK(align > 0 && (align & (align - 1)) == 0);
@@ -101,19 +77,19 @@ void EventSlab::adopt(std::vector<cfg::BlockId> events) {
 
 Status CompiledTable::build(const BlockMetaTable& meta,
                             std::uint32_t line_bytes, ReplayArena& arena) {
+  if (line_bytes == 0) return Status::ok();  // layout-only plan
   if (Status s = fault::fail_if("replay.compile",
                                 "building compiled replay tables");
       !s.is_ok()) {
     return s;
   }
-  if (line_bytes == 0) return Status::ok();  // layout-only plan
   STC_REQUIRE((line_bytes & (line_bytes - 1)) == 0);
   const std::size_t n = meta.size();
   std::uint64_t* first = arena.alloc<std::uint64_t>(n);
   std::uint64_t* last = arena.alloc<std::uint64_t>(n);
   for (cfg::BlockId b = 0; b < n; ++b) {
     first[b] = meta.addr(b) / line_bytes;
-    // Mirrors run_missrate: the last line is the one holding the block's
+    // Mirrors the reference: the last line is the one holding the block's
     // final instruction byte (end_addr - 1), even for zero-length blocks.
     last[b] = (meta.end_addr(b) - 1) / line_bytes;
   }
@@ -156,8 +132,7 @@ Result<ReplayPlan> build_replay_plan(ReplayMode mode,
   plan.slab_ = std::move(slab);
   plan.arena_ = std::make_unique<ReplayArena>();
   plan.meta_.build(image, layout, *plan.arena_);
-  // One range check here buys unchecked indexing in every hot loop; the
-  // interpreter would abort on the same out-of-range id mid-replay.
+  // One range check here buys unchecked indexing in every hot loop.
   STC_CHECK_MSG(plan.slab_->size() == 0 ||
                     plan.slab_->max_id() < plan.meta_.size(),
                 "trace names blocks outside the program image");
@@ -183,11 +158,10 @@ Result<ReplayPlan> build_replay_plan(ReplayMode mode,
                            backend);
 }
 
-const ReplayPlan* ReplayPlanCache::get(const trace::BlockTrace& trace,
-                                       const cfg::ProgramImage& image,
-                                       const cfg::AddressMap& layout,
-                                       std::uint32_t line_bytes,
-                                       const BackendSpec& backend) {
+Result<const ReplayPlan*> ReplayPlanCache::get(
+    const trace::BlockTrace& trace, const cfg::ProgramImage& image,
+    const cfg::AddressMap& layout, std::uint32_t line_bytes,
+    const BackendSpec& backend) {
   // Content fingerprints (see the class comment): FNV-1a over what each
   // object *says*, so a rebuilt layout at a recycled address never hits a
   // stale entry.
@@ -226,15 +200,7 @@ const ReplayPlan* ReplayPlanCache::get(const trace::BlockTrace& trace,
   }
   Result<ReplayPlan> plan = build_replay_plan(
       ReplayMode::kCompiled, slab, image, layout, line_bytes, backend);
-  if (!plan.is_ok()) {
-    if (!logged_fallback_) {
-      logged_fallback_ = true;
-      std::fprintf(stderr, "replay: %s; falling back to interp\n",
-                   plan.status().to_string().c_str());
-    }
-    it = plans_.emplace(key, nullptr).first;
-    return it->second.get();
-  }
+  if (!plan.is_ok()) return plan.status();
   it = plans_
            .emplace(key, std::make_unique<const ReplayPlan>(
                              std::move(plan).take()))
@@ -252,7 +218,7 @@ void missrate_span(const cfg::BlockId* events, std::size_t n,
   const bool use_tables = tables != nullptr && tables->valid() &&
                           tables->line_bytes() == line_bytes;
   std::uint64_t prev_line = state.prev_line;
-  // Same contract as the interpreter loop: consecutive instructions on one
+  // Same contract as verify::reference_missrate: consecutive instructions on one
   // line probe once; a line re-entered after leaving probes again.
   for (std::size_t i = 0; i < n; ++i) {
     const cfg::BlockId block = events[i];

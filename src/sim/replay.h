@@ -1,32 +1,24 @@
-// Compiled trace replay.
+// Compiled trace replay: the one input every simulator takes.
 //
-// The interpreter path (trace::BlockRunStream and the per-event Cursor) pays
-// a varint decode, two map lookups and a virtual-free-but-branchy state
-// machine for every dynamic block. This module trades that for a one-time
-// build: the whole BlockTrace is decoded chunk-by-chunk into one contiguous
+// A plan is built once per (trace, image, layout, line size, back-end
+// spec): the whole BlockTrace is decoded chunk-by-chunk into one contiguous
 // event slab, and the static per-block facts every simulator asks for
 // (address, size, branch-ness, kind, end address) are resolved once into
-// structure-of-arrays tables allocated from a bump arena. The replay inner
-// loops then index flat arrays instead of re-deriving the same answers per
-// event.
+// structure-of-arrays tables allocated from a bump arena. Per-block
+// cache-line membership (first/last line index under a fixed line size)
+// and, with an enabled BackendSpec, the back-end op tables are
+// pre-resolved into flat tables keyed by block id, so the Table 3 inner
+// loop is table lookups plus counter updates. The fetch simulators read
+// the plan one BlockRun at a time through make_run().
 //
-// Two modes, selected with STC_REPLAY (validated in src/support/env):
-//   interp   - the original per-event streams; the reference semantics.
-//   compiled - slab + SoA metadata, plus per-block cache-line membership
-//              (first/last line index under a fixed line size) and (with an
-//              enabled BackendSpec) the back-end op tables, pre-resolved
-//              into flat tables keyed by block id, so the Table 3 inner loop
-//              is table lookups plus counter updates. The fetch simulators
-//              consume the same BlockRun values the interpreter would
-//              produce, via shared code paths.
-//   auto     - the fastest mode (compiled).
-//
-// Compiled replay is required to produce counters bit-identical to the
-// interpreter; verify::check_replay_modes and the STC_VERIFY=1 bench path
-// prove it on every run, and tools/stc_fuzz --replay-diff hunts for
-// divergences. The compiled-table build runs through faultpoint
-// "replay.compile" so fault-injection tests can force the clean fallback to
-// the interpreter.
+// The per-event walk over a BlockTrace (trace::BlockRunStream) survives only
+// as the oracle's reference (src/verify/reference.h). verify::check_plan_feed
+// proves that make_run() yields exactly what that walk yields and that the
+// back-end tables equal the BackendSpec helpers, and check_replay_modes
+// compares the missrate/sequentiality kernels against the references;
+// tools/stc_fuzz --replay-diff hunts for divergences. The compiled-table
+// build runs through faultpoint "replay.compile": a fault fails the plan
+// build, and a cell whose plan fails is a failed cell like any other.
 //
 // The missrate/sequentiality inner loops are scalar span kernels over a raw
 // event range with explicit carried state (replay_detail). That is what
@@ -57,17 +49,8 @@
 
 namespace stc::sim {
 
-enum class ReplayMode { kInterp, kCompiled };
-
-const char* to_string(ReplayMode mode);
-
-// Maps a validated STC_REPLAY value to a mode ("auto" resolves to
-// compiled). Rejects anything env::replay() would reject.
-Result<ReplayMode> parse_replay_mode(const std::string& name);
-
-// The process-wide mode from STC_REPLAY; requires a valid environment
-// (bench binaries validate first, so a bad value exits 2 before this runs).
-ReplayMode replay_mode_from_env();
+// The kind of plan build_replay_plan makes. Compiled is the only kind.
+enum class ReplayMode { kCompiled };
 
 // Bump allocator backing the replay tables. Allocations live until reset();
 // growing never moves earlier allocations (each growth is a fresh slab).
@@ -151,7 +134,7 @@ class EventSlab {
   cfg::BlockId max_id_ = 0;
 };
 
-// Synthetic back-end cost model shared by both replay modes. The back end
+// Synthetic back-end cost model. The back end
 // (src/backend) turns each dynamic block into one op whose latency derives
 // from the block's size and event class (call/return ops pay an extra
 // memory-latency charge) and whose register names derive deterministically
@@ -208,9 +191,8 @@ inline std::uint32_t backend_op_latency(const BackendSpec& spec,
 }
 
 // Synthetic register names for the op of a block at layout address `addr`.
-// One fixed pure function of (addr, insns) — the interpreter path computes
-// it per event, the compiled tables bake it in, and equality of the two is
-// what check_replay_modes proves.
+// One fixed pure function of (addr, insns) — the compiled tables bake it in,
+// and verify::check_plan_feed recomputes it from the image and layout.
 inline void backend_op_regs(std::uint64_t addr, std::uint32_t insns,
                             std::uint8_t* dest, std::uint8_t* src1,
                             std::uint8_t* src2) {
@@ -224,8 +206,10 @@ inline void backend_op_regs(std::uint64_t addr, std::uint32_t insns,
 // one fixed line size (the grid's geometry).
 class CompiledTable {
  public:
-  // Fires faultpoint "replay.compile"; on a fault the table stays invalid
-  // and the caller falls back to the interpreter.
+  // Fires faultpoint "replay.compile" when it builds line tables
+  // (line_bytes != 0; a layout-only plan builds none, so the oracle's
+  // layout-only replay walk never consumes an armed fault). On a fault the
+  // table stays invalid and the plan build fails.
   Status build(const BlockMetaTable& meta, std::uint32_t line_bytes,
                ReplayArena& arena);
 
@@ -277,9 +261,9 @@ class ReplayPlan {
   const CompiledTable& compiled() const { return compiled_; }
   const BackendTable& backend() const { return backend_; }
 
-  // Materializes event `i` as exactly the BlockRun the interpreter's
-  // BlockRunStream would produce — the contract the shared FetchPipe and
-  // every differential oracle rest on.
+  // Materializes event `i` as exactly the BlockRun trace::BlockRunStream
+  // would produce — the contract FetchPipe rests on and
+  // verify::check_plan_feed proves.
   void make_run(std::uint64_t i, trace::BlockRun& out) const {
     const cfg::BlockId b = (*slab_)[static_cast<std::size_t>(i)];
     out.addr = meta_.addr(b);
@@ -334,16 +318,16 @@ Result<ReplayPlan> build_replay_plan(ReplayMode mode,
 // Keys are CONTENT fingerprints, not object addresses: benches rebuild
 // traces, images and layouts per cell, and the allocator happily recycles a
 // dead layout's address for the next one — a pointer key would then serve a
-// plan built for different code. Returns nullptr for a failed compiled
-// build (fault injection); callers then take the interpreter path.
+// plan built for different code. A failed build (faultpoint replay.compile)
+// returns its Status and is not cached, so the next get() rebuilds.
 // Thread-safe.
 class ReplayPlanCache {
  public:
-  const ReplayPlan* get(const trace::BlockTrace& trace,
-                        const cfg::ProgramImage& image,
-                        const cfg::AddressMap& layout,
-                        std::uint32_t line_bytes,
-                        const BackendSpec& backend = {});
+  Result<const ReplayPlan*> get(const trace::BlockTrace& trace,
+                                const cfg::ProgramImage& image,
+                                const cfg::AddressMap& layout,
+                                std::uint32_t line_bytes,
+                                const BackendSpec& backend = {});
 
  private:
   // The trailing uint64 is BackendSpec::fingerprint(): plans carrying
@@ -353,8 +337,7 @@ class ReplayPlanCache {
                          std::uint32_t, std::uint64_t>;
   std::mutex mu_;
   std::map<std::uint64_t, std::shared_ptr<const EventSlab>> slabs_;
-  std::map<Key, std::unique_ptr<const ReplayPlan>> plans_;  // null = fallback
-  bool logged_fallback_ = false;
+  std::map<Key, std::unique_ptr<const ReplayPlan>> plans_;
 };
 
 // Span kernels behind the replay loops, exposed so tests can pin them over
@@ -375,7 +358,7 @@ struct SeqSpanState {
 };
 
 // `tables` may be null (or built for a different line size); the kernel
-// then derives line bounds from `meta` exactly like the interpreter.
+// then derives line bounds from `meta` exactly like the reference.
 void missrate_span(const cfg::BlockId* events, std::size_t n,
                    const BlockMetaTable& meta, const CompiledTable* tables,
                    std::uint32_t line_bytes, ICache& cache,
@@ -387,9 +370,13 @@ void sequentiality_span(const cfg::BlockId* events, std::size_t n,
 
 }  // namespace replay_detail
 
-// Compiled equivalents of run_missrate and measure_sequentiality
-// (the fetch-unit and trace-cache plan overloads live next to their
-// interpreter versions in fetch_unit.h / trace_cache.h / front_end.h).
+// Table 3: streams every executed instruction of the plan's trace (under
+// its layout) through the cache, touching each line once per crossing. When
+// `per_block_misses` is non-null it is resized to the block count and
+// accumulates each miss against the block whose instructions triggered it
+// (the paper's per-module miss attribution, Section 4 / tech report
+// UPC-DAC-1998-56). The fetch simulators take the plan in fetch_unit.h,
+// trace_cache.h, front_end.h and pipeline.h.
 MissRateResult replay_missrate(const ReplayPlan& plan, ICache& cache,
                                std::vector<std::uint64_t>* per_block_misses =
                                    nullptr);
@@ -400,7 +387,7 @@ trace::SequentialityStats replay_sequentiality(const ReplayPlan& plan);
 // chunk rather than the trace.
 // Counters are bit-identical to replaying the fully-loaded trace — the same
 // span kernels run over the same event sequence. `tables` may be null
-// (address math from `meta`, the interp-equivalent configuration). Each
+// (address math from `meta`, as the reference does). Each
 // decoded chunk is range-checked against `meta` before it is replayed, so a
 // corrupt trace surfaces as a clean Status, never unchecked indexing.
 Result<MissRateResult> replay_missrate_streamed(

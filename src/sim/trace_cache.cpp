@@ -53,13 +53,9 @@ void TraceCache::commit_fill() {
   ++stored_;
 }
 
-namespace {
-
-// The simulation proper, backend-agnostic: both run_trace_cache overloads
-// feed it a FetchPipe and get bit-identical counters.
-FetchResult run_trace_cache_pipe(FetchPipe& pipe, const FetchParams& params,
-                                 const TraceCacheParams& tc_params,
-                                 ICache* cache) {
+FetchResult run_trace_cache(const ReplayPlan& plan, const FetchParams& params,
+                            const TraceCacheParams& tc_params, ICache* cache) {
+  FetchPipe pipe(plan);
   STC_REQUIRE(params.perfect_icache || cache != nullptr);
   if (cache != nullptr) cache->reset();
   const std::uint32_t line_bytes =
@@ -124,23 +120,6 @@ FetchResult run_trace_cache_pipe(FetchPipe& pipe, const FetchParams& params,
   result.tc_fills = tc.stored_traces();
   result.tc_probes = tc.probes();
   return result;
-}
-
-}  // namespace
-
-FetchResult run_trace_cache(const trace::BlockTrace& trace,
-                            const cfg::ProgramImage& image,
-                            const cfg::AddressMap& layout,
-                            const FetchParams& params,
-                            const TraceCacheParams& tc_params, ICache* cache) {
-  FetchPipe pipe(trace, image, layout);
-  return run_trace_cache_pipe(pipe, params, tc_params, cache);
-}
-
-FetchResult run_trace_cache(const ReplayPlan& plan, const FetchParams& params,
-                            const TraceCacheParams& tc_params, ICache* cache) {
-  FetchPipe pipe(plan);
-  return run_trace_cache_pipe(pipe, params, tc_params, cache);
 }
 
 }  // namespace stc::sim

@@ -74,16 +74,9 @@ class TraceCache {
   std::uint64_t stored_ = 0;
 };
 
-// Full combined simulation: trace cache in front of SEQ.3 + i-cache.
-// `cache` may be null only with params.perfect_icache ("Ideal" row).
-FetchResult run_trace_cache(const trace::BlockTrace& trace,
-                            const cfg::ProgramImage& image,
-                            const cfg::AddressMap& layout,
-                            const FetchParams& params,
-                            const TraceCacheParams& tc_params, ICache* cache);
-
-// Compiled replay from a pre-built plan (sim/replay.h); counters are
-// bit-identical to the interpreter overload.
+// Full combined simulation over the plan's trace (sim/replay.h): trace
+// cache in front of SEQ.3 + i-cache. `cache` may be null only with
+// params.perfect_icache ("Ideal" row).
 FetchResult run_trace_cache(const ReplayPlan& plan, const FetchParams& params,
                             const TraceCacheParams& tc_params, ICache* cache);
 

@@ -129,17 +129,6 @@ Result<std::uint32_t> ftq_depth() {
   return static_cast<std::uint32_t>(parsed.value());
 }
 
-Result<std::string> replay() {
-  const char* value = std::getenv("STC_REPLAY");
-  if (value == nullptr) return std::string("auto");
-  const std::string v(value);
-  for (const char* name : {"interp", "compiled", "auto"}) {
-    if (v == name) return v;
-  }
-  return invalid_argument_error(
-      "STC_REPLAY='" + v + "': expected one of interp|compiled|auto");
-}
-
 Result<std::string> backend() {
   const char* value = std::getenv("STC_BACKEND");
   if (value == nullptr) return std::string("off");
@@ -293,7 +282,6 @@ Status validate_all() {
   if (Status s = verify().status(); !s.is_ok()) return s;
   if (Status s = bpred().status(); !s.is_ok()) return s;
   if (Status s = ftq_depth().status(); !s.is_ok()) return s;
-  if (Status s = replay().status(); !s.is_ok()) return s;
   if (Status s = backend().status(); !s.is_ok()) return s;
   if (Status s = iq_depth().status(); !s.is_ok()) return s;
   if (Status s = rob_depth().status(); !s.is_ok()) return s;

@@ -46,11 +46,6 @@ Result<std::string> bpred();
 // (0 disables prefetching). Default 8.
 Result<std::uint32_t> ftq_depth();
 
-// STC_REPLAY: trace replay engine; one of interp|compiled|auto.
-// Default "auto" (compiled, whose output is oracle-identical to the
-// interpreter). See src/sim/replay.h.
-Result<std::string> replay();
-
 // STC_BACKEND: execution back end behind the front end; one of
 // off|inorder|ooo. Default "off" (fetch-only simulation, byte-identical to
 // the paper's configuration). See src/backend/backend.h.

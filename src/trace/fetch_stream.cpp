@@ -39,18 +39,4 @@ bool BlockRunStream::next(BlockRun& out) {
   return true;
 }
 
-SequentialityStats measure_sequentiality(const BlockTrace& trace,
-                                         const cfg::ProgramImage& image,
-                                         const cfg::AddressMap& layout) {
-  SequentialityStats stats;
-  BlockRunStream stream(trace, image, layout);
-  BlockRun run;
-  while (stream.next(run)) {
-    stats.instructions += run.insns;
-    ++stats.dynamic_blocks;
-    if (run.has_next && run.taken) ++stats.taken_transitions;
-  }
-  return stats;
-}
-
 }  // namespace stc::trace

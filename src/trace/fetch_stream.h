@@ -1,5 +1,7 @@
-// Adapter from a recorded block trace plus a code layout to the streams the
-// architecture simulators consume.
+// Adapter from a recorded block trace plus a code layout to the BlockRuns
+// the architecture simulators consume. The simulators read them from a
+// replay plan (sim/replay.h); BlockRunStream is the per-event walk the plan
+// must reproduce, read by the oracle (src/verify).
 //
 // Taken-branch semantics follow the paper's simulation methodology: block
 // sizes never change across layouts, and a dynamic transition A -> B is
@@ -33,7 +35,9 @@ struct BlockRun {
   }
 };
 
-// Pull-based stream of BlockRuns with one-block lookahead.
+// Pull-based stream of BlockRuns with one-block lookahead: the reference
+// feed that ReplayPlan::make_run is checked against
+// (verify::check_plan_feed).
 class BlockRunStream {
  public:
   BlockRunStream(const BlockTrace& trace, const cfg::ProgramImage& image,
@@ -67,9 +71,5 @@ struct SequentialityStats {
   // Registers the raw event counts for machine-readable reporting.
   void export_counters(CounterSet& out) const;
 };
-
-SequentialityStats measure_sequentiality(const BlockTrace& trace,
-                                         const cfg::ProgramImage& image,
-                                         const cfg::AddressMap& layout);
 
 }  // namespace stc::trace

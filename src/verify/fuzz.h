@@ -89,13 +89,13 @@ enum class Injection { kNone, kShortBlock };
 // the Replicator. Returns the merged report.
 Report run_case(const FuzzCase& c, Injection injection = Injection::kNone);
 
-// Replay-mode differential check: builds the case and runs the oracle's
-// check_replay_modes over every layout kind, requiring the compiled replay
-// engine (sim/replay.h) to reproduce the interpreter's counters bit for bit
-// on every simulator — including the back-end pipeline (src/backend), whose
-// machine shape (inorder/ooo, IQ/ROB depths, cost model) is derived
-// deterministically from the case content so the corpus sweeps
-// configurations.
+// Replay differential check: builds the case and runs the oracle's
+// check_replay_modes over every layout kind — the replay kernels against
+// their references, the plan's feed against the reference stream, and
+// every fetch-family simulator's counter identities, including the
+// back-end pipeline (src/backend), whose machine shape (inorder/ooo, IQ/ROB
+// depths, cost model) is derived deterministically from the case content
+// so the corpus sweeps configurations.
 Report run_replay_diff(const FuzzCase& c);
 
 // Multi-tenant differential check: splits the case's trace into a
@@ -105,8 +105,8 @@ Report run_replay_diff(const FuzzCase& c);
 //   - conservation (per-tenant event totals match the streams, and the
 //     segment provenance replays each stream exactly),
 //   - a single-tenant composition is byte-identical to the input trace,
-//   - the composed trace replays bit-identically across the interp and
-//     compiled engines on the original and STC-ops layouts, and
+//   - the composed trace passes check_replay_modes on the original and
+//     STC-ops layouts, and
 //   - when the CFA affords at least one byte per tenant, the
 //     tenant-partitioned layout built from per-stream profiles passes the
 //     full oracle including check_tenant_partition.

@@ -7,6 +7,7 @@
 #include "sim/replay.h"
 #include "sim/trace_cache.h"
 #include "trace/fetch_stream.h"
+#include "verify/reference.h"
 
 namespace stc::verify {
 namespace {
@@ -179,21 +180,39 @@ Report check_replay(const trace::BlockTrace& trace,
     return report;
   }
 
+  // A plan indexes its tables unchecked, so out-of-range events are
+  // reported before one is built.
+  {
+    std::uint64_t event = 0;
+    trace::BlockTrace::Cursor scan(trace);
+    while (!scan.done()) {
+      const BlockId b = scan.next();
+      if (b >= image.num_blocks()) {
+        report.fail("event " + u64(event) + " names out-of-range block #" +
+                    u64(b));
+        return report;
+      }
+      ++event;
+    }
+  }
+  Result<sim::ReplayPlan> plan = sim::build_replay_plan(
+      sim::ReplayMode::kCompiled, trace, image, layout, /*line_bytes=*/0);
+  if (!plan.is_ok()) {
+    report.fail("plan build failed: " + plan.status().to_string());
+    return report;
+  }
+
   // Ground truth: the trace events themselves, sized by the image and
-  // addressed by the map. The production adapters must reproduce them.
+  // addressed by the map. The reference stream and the plan-fed FetchPipe
+  // the simulators read must reproduce them.
   trace::BlockTrace::Cursor truth(trace);
   trace::BlockRunStream stream(trace, image, layout);
-  sim::FetchPipe pipe(trace, image, layout);
+  sim::FetchPipe pipe(plan.value());
 
   std::uint64_t event = 0;
   std::uint64_t insns_seen = 0;
   BlockId cur = truth.done() ? cfg::kInvalidBlock : truth.next();
   while (cur != cfg::kInvalidBlock) {
-    if (cur >= image.num_blocks()) {
-      report.fail("event " + u64(event) + " names out-of-range block #" +
-                  u64(cur));
-      return report;
-    }
     if (!layout.assigned(cur)) {
       report.fail("event " + u64(event) + ": " + block_ref(image, cur) +
                   " has no address");
@@ -740,6 +759,14 @@ Report check_simulators(const trace::BlockTrace& trace,
                         const sim::CacheGeometry& geometry) {
   Report report;
   const std::uint64_t expected = trace_instructions(trace, image);
+  Result<sim::ReplayPlan> built =
+      sim::build_replay_plan(sim::ReplayMode::kCompiled, trace, image, layout,
+                             geometry.line_bytes);
+  if (!built.is_ok()) {
+    report.fail("plan build failed: " + built.status().to_string());
+    return report;
+  }
+  const sim::ReplayPlan& plan = built.value();
 
   // Independent recount of line probes: consecutive instructions on one line
   // probe once; a re-entered line probes again (the Section 7.1 semantics).
@@ -774,8 +801,7 @@ Report check_simulators(const trace::BlockTrace& trace,
       if (!hit) ++obs_misses;
       if (line_addr % geometry.line_bytes != 0) ++obs_misaligned;
     });
-    const sim::MissRateResult result =
-        sim::run_missrate(trace, image, layout, cache);
+    const sim::MissRateResult result = sim::replay_missrate(plan, cache);
     report.merge(check_missrate_result(result, cache.stats(), expected),
                  "missrate");
     if (result.line_accesses != expect_line_accesses) {
@@ -800,8 +826,7 @@ Report check_simulators(const trace::BlockTrace& trace,
   {
     sim::ICache cache(geometry);
     const sim::FetchParams params;
-    const sim::FetchResult result =
-        sim::run_seq3(trace, image, layout, params, &cache);
+    const sim::FetchResult result = sim::run_seq3(plan, params, &cache);
     report.merge(check_fetch_result(result, params, expected, false), "seq3");
     if (result.lines_missed != cache.stats().misses) {
       report.fail("seq3: driver counted " + u64(result.lines_missed) +
@@ -821,8 +846,8 @@ Report check_simulators(const trace::BlockTrace& trace,
     sim::ICache cache(geometry);
     const sim::FetchParams params;
     const sim::TraceCacheParams tc_params;
-    const sim::FetchResult result = sim::run_trace_cache(
-        trace, image, layout, params, tc_params, &cache);
+    const sim::FetchResult result =
+        sim::run_trace_cache(plan, params, tc_params, &cache);
     report.merge(check_fetch_result(result, params, expected, true), "tc");
   }
   return report;
@@ -878,26 +903,13 @@ Report check_counters_equal(const CounterSet& expected,
     }
     if (e[i].second != a[i].second) {
       report.fail(std::string(what) + ": " + e[i].first + " = " +
-                  u64(a[i].second) + " (interp " + u64(e[i].second) + ")");
+                  u64(a[i].second) + " (expected " + u64(e[i].second) + ")");
     }
   }
   return report;
 }
 
 namespace {
-
-// Every simulator's counters for one replay mode, plus the Table 3
-// per-block miss attribution.
-struct ModeCounters {
-  CounterSet miss;
-  CounterSet seq;
-  CounterSet seq3;
-  CounterSet tc;
-  CounterSet fe_seq3;
-  CounterSet fe_tc;
-  CounterSet be;
-  std::vector<std::uint64_t> per_block;
-};
 
 // A realistic speculative front end (gshare + FDIP) so the differential
 // covers predictor/BTB/RAS cycle counts, not just the Table 3/4 baselines.
@@ -910,6 +922,32 @@ frontend::FrontEndParams replay_diff_frontend() {
   return fe;
 }
 
+// "addr plan 64, stream 80" for the first BlockRun field that differs, or
+// empty when the two runs agree field for field.
+std::string run_difference(const trace::BlockRun& got,
+                           const trace::BlockRun& want) {
+  const auto field = [](const char* name, std::uint64_t g, std::uint64_t w) {
+    return std::string(name) + " plan " + u64(g) + ", stream " + u64(w);
+  };
+  if (got.addr != want.addr) return field("addr", got.addr, want.addr);
+  if (got.insns != want.insns) return field("insns", got.insns, want.insns);
+  if (got.ends_in_branch != want.ends_in_branch) {
+    return field("ends_in_branch", got.ends_in_branch, want.ends_in_branch);
+  }
+  if (got.kind != want.kind) {
+    return field("kind", static_cast<std::uint64_t>(got.kind),
+                 static_cast<std::uint64_t>(want.kind));
+  }
+  if (got.has_next != want.has_next) {
+    return field("has_next", got.has_next, want.has_next);
+  }
+  if (got.next_addr != want.next_addr) {
+    return field("next_addr", got.next_addr, want.next_addr);
+  }
+  if (got.taken != want.taken) return field("taken", got.taken, want.taken);
+  return {};
+}
+
 }  // namespace
 
 backend::BackendParams replay_diff_backend() {
@@ -919,6 +957,64 @@ backend::BackendParams replay_diff_backend() {
   bp.rob_depth = 24;
   bp.fetch_buffer_ops = 12;
   return bp;
+}
+
+Report check_plan_feed(const trace::BlockTrace& trace,
+                       const cfg::ProgramImage& image,
+                       const cfg::AddressMap& layout,
+                       const sim::ReplayPlan& plan,
+                       const sim::BackendSpec& backend) {
+  Report report;
+  if (plan.num_events() != trace.num_events()) {
+    report.fail("plan feeds " + u64(plan.num_events()) +
+                " events, trace records " + u64(trace.num_events()));
+    return report;
+  }
+  trace::BlockRunStream stream(trace, image, layout);
+  trace::BlockRun want;
+  trace::BlockRun got;
+  for (std::uint64_t i = 0; stream.next(want); ++i) {
+    plan.make_run(i, got);
+    const std::string diff = run_difference(got, want);
+    if (!diff.empty()) {
+      report.fail("plan feed diverges at event " + u64(i) + " (" +
+                  block_ref(image, plan.slab()[i]) + "): " + diff);
+      return report;
+    }
+  }
+
+  const sim::BackendTable& table = plan.backend();
+  if (table.valid() != backend.enabled) {
+    report.fail(std::string("plan ") +
+                (table.valid() ? "carries" : "lacks") +
+                " back-end tables, the caller expects " +
+                (backend.enabled ? "them" : "none"));
+    return report;
+  }
+  if (!table.valid()) return report;
+  std::vector<bool> seen(image.num_blocks(), false);
+  for (std::size_t i = 0; i < plan.slab().size(); ++i) {
+    const BlockId b = plan.slab()[i];
+    if (seen[b]) continue;
+    seen[b] = true;
+    const cfg::BlockInfo& info = image.block(b);
+    const std::uint32_t latency =
+        sim::backend_op_latency(backend, info.insns, info.kind);
+    std::uint8_t dest = 0;
+    std::uint8_t src1 = 0;
+    std::uint8_t src2 = 0;
+    sim::backend_op_regs(layout.addr(b), info.insns, &dest, &src1, &src2);
+    if (table.latency(b) != latency || table.dest(b) != dest ||
+        table.src1(b) != src1 || table.src2(b) != src2) {
+      report.fail("back-end table for " + block_ref(image, b) +
+                  ": latency/dest/src1/src2 " + u64(table.latency(b)) + "/" +
+                  u64(table.dest(b)) + "/" + u64(table.src1(b)) + "/" +
+                  u64(table.src2(b)) + ", spec gives " + u64(latency) + "/" +
+                  u64(dest) + "/" + u64(src1) + "/" + u64(src2));
+      if (report.total_found() >= kGiveUpAfter) return report;
+    }
+  }
+  return report;
 }
 
 Report check_replay_modes(const trace::BlockTrace& trace,
@@ -933,143 +1029,94 @@ Report check_replay_modes(const trace::BlockTrace& trace,
   const backend::BackendParams bp =
       backend_params != nullptr ? *backend_params : replay_diff_backend();
 
-  ModeCounters interp;
-  {
-    sim::ICache cache(geometry);
-    sim::run_missrate(trace, image, layout, cache, &interp.per_block)
-        .export_counters(interp.miss);
-    cache.stats().export_counters(interp.miss);
-  }
-  trace::measure_sequentiality(trace, image, layout)
-      .export_counters(interp.seq);
-  {
-    sim::ICache cache(geometry);
-    sim::run_seq3(trace, image, layout, fparams, &cache)
-        .export_counters(interp.seq3);
-    cache.stats().export_counters(interp.seq3);
-  }
-  {
-    sim::ICache cache(geometry);
-    sim::run_trace_cache(trace, image, layout, fparams, tc_params, &cache)
-        .export_counters(interp.tc);
-    cache.stats().export_counters(interp.tc);
-  }
-  {
-    sim::ICache cache(geometry);
-    const frontend::FrontEndResult r =
-        frontend::run_seq3_frontend(trace, image, layout, fparams, fe, &cache);
-    r.fetch.export_counters(interp.fe_seq3);
-    r.frontend.export_counters(interp.fe_seq3);
-    cache.stats().export_counters(interp.fe_seq3);
-  }
-  {
-    sim::ICache cache(geometry);
-    const frontend::FrontEndResult r = frontend::run_trace_cache_frontend(
-        trace, image, layout, fparams, tc_params, fe, &cache);
-    r.fetch.export_counters(interp.fe_tc);
-    r.frontend.export_counters(interp.fe_tc);
-    cache.stats().export_counters(interp.fe_tc);
-  }
-  {
-    sim::ICache cache(geometry);
-    const Result<backend::BackendResult> r = backend::run_seq3_backend(
-        trace, image, layout, fparams, fe, bp, &cache);
-    if (!r.is_ok()) {
-      report.fail("backend[interp]: " + r.status().to_string());
-    } else {
-      r.value().fetch.export_counters(interp.be);
-      r.value().frontend.export_counters(interp.be);
-      r.value().backend.export_counters(interp.be);
-      cache.stats().export_counters(interp.be);
-      report.merge(check_backend_result(r.value(), fparams, fe, bp,
-                                        trace_instructions(trace, image)),
-                   "backend[interp]");
-    }
-  }
-
   Result<sim::ReplayPlan> built =
       sim::build_replay_plan(sim::ReplayMode::kCompiled, trace, image, layout,
                              geometry.line_bytes, bp.spec());
-  const std::string m = "compiled";
   if (!built.is_ok()) {
-    report.fail(m + ": plan build failed: " + built.status().to_string());
+    report.fail("plan build failed: " + built.status().to_string());
     return report;
   }
   const sim::ReplayPlan& plan = built.value();
-  ModeCounters got;
+
+  // The two span kernels against their per-event references.
   {
+    CounterSet want;
+    CounterSet got;
+    std::vector<std::uint64_t> want_per_block;
+    std::vector<std::uint64_t> got_per_block;
+    sim::ICache ref_cache(geometry);
+    reference_missrate(trace, image, layout, ref_cache, &want_per_block)
+        .export_counters(want);
+    ref_cache.stats().export_counters(want);
     sim::ICache cache(geometry);
-    sim::replay_missrate(plan, cache, &got.per_block)
-        .export_counters(got.miss);
-    cache.stats().export_counters(got.miss);
-  }
-  sim::replay_sequentiality(plan).export_counters(got.seq);
-  {
-    sim::ICache cache(geometry);
-    sim::run_seq3(plan, fparams, &cache).export_counters(got.seq3);
-    cache.stats().export_counters(got.seq3);
-  }
-  {
-    sim::ICache cache(geometry);
-    sim::run_trace_cache(plan, fparams, tc_params, &cache)
-        .export_counters(got.tc);
-    cache.stats().export_counters(got.tc);
-  }
-  {
-    sim::ICache cache(geometry);
-    const frontend::FrontEndResult r =
-        frontend::run_seq3_frontend(plan, fparams, fe, &cache);
-    r.fetch.export_counters(got.fe_seq3);
-    r.frontend.export_counters(got.fe_seq3);
-    cache.stats().export_counters(got.fe_seq3);
+    sim::replay_missrate(plan, cache, &got_per_block).export_counters(got);
+    cache.stats().export_counters(got);
+    report.merge(check_counters_equal(want, got, "missrate"));
+    if (got_per_block != want_per_block) {
+      std::size_t where = 0;
+      while (where < want_per_block.size() && where < got_per_block.size() &&
+             want_per_block[where] == got_per_block[where]) {
+        ++where;
+      }
+      report.fail("missrate: per-block miss attribution diverges at " +
+                  block_ref(image, static_cast<BlockId>(where)));
+    }
   }
   {
+    CounterSet want;
+    CounterSet got;
+    reference_sequentiality(trace, image, layout).export_counters(want);
+    sim::replay_sequentiality(plan).export_counters(got);
+    report.merge(check_counters_equal(want, got, "sequentiality"));
+  }
+
+  // The fetch family reads nothing but the feed and the back-end tables,
+  // so an equal feed proves their counters equal to a per-event walk's.
+  report.merge(check_plan_feed(trace, image, layout, plan, bp.spec()),
+               "feed");
+
+  // Each fetch-family simulator once on the plan, through its identities.
+  const std::uint64_t expected = trace_instructions(trace, image);
+  {
     sim::ICache cache(geometry);
-    const frontend::FrontEndResult r =
-        frontend::run_trace_cache_frontend(plan, fparams, tc_params, fe,
-                                           &cache);
-    r.fetch.export_counters(got.fe_tc);
-    r.frontend.export_counters(got.fe_tc);
-    cache.stats().export_counters(got.fe_tc);
+    report.merge(check_fetch_result(sim::run_seq3(plan, fparams, &cache),
+                                    fparams, expected, false),
+                 "seq3");
+  }
+  {
+    sim::ICache cache(geometry);
+    report.merge(
+        check_fetch_result(
+            sim::run_trace_cache(plan, fparams, tc_params, &cache), fparams,
+            expected, true),
+        "trace_cache");
+  }
+  {
+    sim::ICache cache(geometry);
+    report.merge(
+        check_frontend_result(
+            frontend::run_seq3_frontend(plan, fparams, fe, &cache), fparams,
+            fe, expected, false),
+        "seq3+frontend");
+  }
+  {
+    sim::ICache cache(geometry);
+    report.merge(check_frontend_result(
+                     frontend::run_trace_cache_frontend(plan, fparams,
+                                                        tc_params, fe, &cache),
+                     fparams, fe, expected, true),
+                 "trace_cache+frontend");
   }
   {
     sim::ICache cache(geometry);
     const Result<backend::BackendResult> r =
         backend::run_seq3_backend(plan, fparams, fe, bp, &cache);
     if (!r.is_ok()) {
-      report.fail("backend[" + m + "]: " + r.status().to_string());
+      report.fail("backend: " + r.status().to_string());
     } else {
-      r.value().fetch.export_counters(got.be);
-      r.value().frontend.export_counters(got.be);
-      r.value().backend.export_counters(got.be);
-      cache.stats().export_counters(got.be);
+      report.merge(check_backend_result(r.value(), fparams, fe, bp, expected),
+                   "backend");
     }
-  }
-
-  report.merge(check_counters_equal(interp.miss, got.miss,
-                                    "missrate[" + m + "]"));
-  report.merge(check_counters_equal(interp.seq, got.seq,
-                                    "sequentiality[" + m + "]"));
-  report.merge(check_counters_equal(interp.seq3, got.seq3,
-                                    "seq3[" + m + "]"));
-  report.merge(check_counters_equal(interp.tc, got.tc,
-                                    "trace_cache[" + m + "]"));
-  report.merge(check_counters_equal(interp.fe_seq3, got.fe_seq3,
-                                    "seq3+frontend[" + m + "]"));
-  report.merge(check_counters_equal(interp.fe_tc, got.fe_tc,
-                                    "trace_cache+frontend[" + m + "]"));
-  report.merge(check_counters_equal(interp.be, got.be,
-                                    "backend[" + m + "]"));
-  if (got.per_block != interp.per_block) {
-    std::size_t where = 0;
-    while (where < interp.per_block.size() &&
-           where < got.per_block.size() &&
-           interp.per_block[where] == got.per_block[where]) {
-      ++where;
-    }
-    report.fail("missrate[" + m +
-                "]: per-block miss attribution diverges at " +
-                block_ref(image, static_cast<BlockId>(where)));
   }
   return report;
 }

@@ -33,6 +33,7 @@
 #include "frontend/front_end.h"
 #include "sim/fetch_unit.h"
 #include "sim/icache.h"
+#include "sim/replay.h"
 #include "support/stats.h"
 #include "trace/block_trace.h"
 
@@ -82,8 +83,9 @@ Report check_replication_structure(
 // ---- Invariant class 2: replay equivalence -------------------------------
 
 // Replays `trace` under `layout` with an independent walk and cross-checks
-// the production stream adapters (BlockRunStream, FetchPipe) instruction by
-// instruction against ground truth derived only from the image and the map.
+// the reference stream (BlockRunStream) and the plan-fed FetchPipe the
+// simulators read, instruction by instruction, against ground truth derived
+// only from the image and the map.
 Report check_replay(const trace::BlockTrace& trace,
                     const cfg::ProgramImage& image,
                     const cfg::AddressMap& layout);
@@ -117,8 +119,9 @@ Report check_tenant_partition(const cfg::ProgramImage& image,
                               const cfg::AddressMap& layout,
                               const core::MappingProvenance& provenance);
 
-// Runs all three simulators (miss-rate, SEQ.3, trace cache) over the trace
-// and checks their counters against independent recounts and each other.
+// Runs all three simulators (miss-rate, SEQ.3, trace cache) over a plan of
+// the trace and checks their counters against independent recounts and
+// each other.
 Report check_simulators(const trace::BlockTrace& trace,
                         const cfg::ProgramImage& image,
                         const cfg::AddressMap& layout,
@@ -164,7 +167,8 @@ Report check_backend_result(const backend::BackendResult& result,
 // ---- Replay-mode differential oracle -------------------------------------
 
 // Bit-identity of two counter sets (same keys, same order, same values).
-// `what` names the comparison in error messages.
+// `what` names the comparison in error messages; `expected` is the
+// reference.
 Report check_counters_equal(const CounterSet& expected,
                             const CounterSet& actual, std::string_view what);
 
@@ -174,14 +178,34 @@ Report check_counters_equal(const CounterSet& expected,
 // fuzz-sized traces.
 backend::BackendParams replay_diff_backend();
 
-// Runs every simulator — miss rate (with per-block attribution),
-// sequentiality, SEQ.3, trace cache, the speculative front end, and the
-// back-end pipeline — in the interp and compiled replay modes
-// (sim/replay.h) and requires the counters to be bit-identical across the
-// two. The interpreter is the reference; any divergence is a replay-engine
-// bug. `backend_params` overrides the back-end configuration
-// (replay_diff_backend() when null); the interp back-end run additionally
-// passes check_backend_result.
+// The feed argument: the five fetch-family simulators (SEQ.3, trace cache,
+// both front ends, the back-end pipeline) read nothing of a plan but
+// make_run() and, for the back end, the per-block op tables. So a plan
+// whose make_run(i) equals the i-th BlockRun of a trace::BlockRunStream
+// over (trace, image, layout), field by field and with equal event counts,
+// drives them exactly as the per-event walk would. When `backend` is
+// enabled the plan must carry back-end tables, and every block id in the
+// slab must have the latency and registers that backend_op_latency /
+// backend_op_regs give for its image size and kind and its layout address
+// under `backend`; when it is disabled the plan must carry none. The first
+// diverging event is named. O(events), with no simulator run.
+Report check_plan_feed(const trace::BlockTrace& trace,
+                       const cfg::ProgramImage& image,
+                       const cfg::AddressMap& layout,
+                       const sim::ReplayPlan& plan,
+                       const sim::BackendSpec& backend = {});
+
+// The replay differential over one (trace, image, layout). Builds one plan
+// and
+//   1. compares replay_missrate (with per-block attribution) and
+//      replay_sequentiality bit for bit against reference_missrate and
+//      reference_sequentiality (verify/reference.h),
+//   2. runs check_plan_feed on the plan,
+//   3. runs SEQ.3, the trace cache, both speculative front ends and the
+//      back-end pipeline once on the plan, through check_fetch_result,
+//      check_frontend_result and check_backend_result.
+// `backend_params` overrides the back-end configuration
+// (replay_diff_backend() when null).
 Report check_replay_modes(const trace::BlockTrace& trace,
                           const cfg::ProgramImage& image,
                           const cfg::AddressMap& layout,

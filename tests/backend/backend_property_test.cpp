@@ -1,9 +1,9 @@
 // Property tests for the unified fetch->IPC pipeline: the oracle's counter
 // identities hold over random machines and programs, the window bounds are
 // never exceeded, the machine always drains, results are deterministic
-// under repetition and thread-level concurrency, the two replay engines
-// are bit-identical, and the degenerate program families from
-// tests/testing/synthetic.h do not wedge the pipeline.
+// under repetition and thread-level concurrency, the plan the pipeline
+// reads matches the reference feed, and the degenerate program families
+// from tests/testing/synthetic.h do not wedge the pipeline.
 #include <thread>
 #include <vector>
 
@@ -13,6 +13,7 @@
 #include "sim/icache.h"
 #include "sim/replay.h"
 #include "support/rng.h"
+#include "testing/plan.h"
 #include "testing/synthetic.h"
 #include "verify/oracle.h"
 
@@ -55,8 +56,9 @@ CounterSet run_counters(const trace::BlockTrace& trace,
                         const frontend::FrontEndParams& fe,
                         const BackendParams& bp) {
   sim::ICache cache(kGeometry);
-  const Result<BackendResult> r = run_seq3_backend(
-      trace, image, layout, sim::FetchParams{}, fe, bp, &cache);
+  const Result<BackendResult> r =
+      run_seq3_backend(testing::make_plan(trace, image, layout, 0, bp.spec()),
+                       sim::FetchParams{}, fe, bp, &cache);
   CounterSet out;
   EXPECT_TRUE(r.is_ok()) << r.status().to_string();
   if (r.is_ok()) {
@@ -78,7 +80,8 @@ TEST(BackendPropertyTest, OracleIdentitiesHoldOnRandomMachines) {
     const frontend::FrontEndParams fe = random_frontend(rng);
     sim::ICache cache(kGeometry);
     const Result<BackendResult> r = run_seq3_backend(
-        trace, *image, layout, sim::FetchParams{}, fe, bp, &cache);
+        testing::make_plan(trace, *image, layout, 0, bp.spec()),
+        sim::FetchParams{}, fe, bp, &cache);
     ASSERT_TRUE(r.is_ok()) << r.status().to_string();
     const verify::Report report = verify::check_backend_result(
         r.value(), sim::FetchParams{}, fe, bp,
@@ -95,9 +98,9 @@ TEST(BackendPropertyTest, WindowBoundsAreNeverExceeded) {
     const auto layout = cfg::AddressMap::original(*image);
     const BackendParams bp = random_params(rng);
     sim::ICache cache(kGeometry);
-    const Result<BackendResult> r =
-        run_seq3_backend(trace, *image, layout, sim::FetchParams{},
-                         frontend::FrontEndParams{}, bp, &cache);
+    const Result<BackendResult> r = run_seq3_backend(
+        testing::make_plan(trace, *image, layout, 0, bp.spec()),
+        sim::FetchParams{}, frontend::FrontEndParams{}, bp, &cache);
     ASSERT_TRUE(r.is_ok()) << r.status().to_string();
     const BackendStats& be = r.value().backend;
     EXPECT_LE(be.iq_peak, bp.iq_depth) << "trial " << trial;
@@ -117,9 +120,9 @@ TEST(BackendPropertyTest, DrainLeavesZeroInFlightOps) {
     const auto layout = cfg::AddressMap::original(*image);
     const BackendParams bp = random_params(rng);
     sim::ICache cache(kGeometry);
-    const Result<BackendResult> r =
-        run_seq3_backend(trace, *image, layout, sim::FetchParams{},
-                         frontend::FrontEndParams{}, bp, &cache);
+    const Result<BackendResult> r = run_seq3_backend(
+        testing::make_plan(trace, *image, layout, 0, bp.spec()),
+        sim::FetchParams{}, frontend::FrontEndParams{}, bp, &cache);
     ASSERT_TRUE(r.is_ok()) << r.status().to_string();
     const BackendStats& be = r.value().backend;
     // A drained machine retired everything it ever accepted, and every
@@ -153,7 +156,7 @@ TEST(BackendPropertyTest, CommitOrderMatchesDispatchOrder) {
       o.dest = static_cast<std::uint8_t>(rng.uniform(sim::kBackendRegs));
       o.src1 = static_cast<std::uint8_t>(rng.uniform(sim::kBackendRegs));
       o.src2 = static_cast<std::uint8_t>(rng.uniform(sim::kBackendRegs));
-      ASSERT_TRUE(be.dispatch(o).is_ok());
+      be.dispatch(o);
       dispatched.push_back(o.addr);
     }
     for (; !be.empty() && now < 100000; ++now) be.step(now);
@@ -194,6 +197,10 @@ TEST(BackendPropertyTest, DeterministicAcrossRepeatsAndThreads) {
   }
 }
 
+// The plan's feed and back-end tables equal the per-event reference walk
+// and the spec helpers (verify::check_plan_feed), which makes the pipeline
+// bit-identical to one fed event by event; its counters pass the oracle's
+// identities, and an independently built plan reproduces them bit for bit.
 TEST(BackendPropertyTest, ReplayEnginesAreBitIdentical) {
   Rng rng(19);
   for (int trial = 0; trial < 10; ++trial) {
@@ -202,24 +209,29 @@ TEST(BackendPropertyTest, ReplayEnginesAreBitIdentical) {
     const auto layout = cfg::AddressMap::original(*image);
     const BackendParams bp = random_params(rng);
     const frontend::FrontEndParams fe = random_frontend(rng);
-    const CounterSet reference = run_counters(trace, *image, layout, fe, bp);
-    const Result<sim::ReplayPlan> plan = sim::build_replay_plan(
-        sim::ReplayMode::kCompiled, trace, *image, layout,
-        kGeometry.line_bytes, bp.spec());
-    ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+    const sim::ReplayPlan plan = testing::make_plan(
+        trace, *image, layout, kGeometry.line_bytes, bp.spec());
     // A plan built with an enabled spec embeds the back-end tables.
-    EXPECT_TRUE(plan.value().backend().valid());
+    EXPECT_TRUE(plan.backend().valid());
+    const verify::Report feed =
+        verify::check_plan_feed(trace, *image, layout, plan, bp.spec());
+    EXPECT_TRUE(feed.ok()) << "trial " << trial << ": " << feed.summary();
     sim::ICache cache(kGeometry);
-    const Result<BackendResult> r = run_seq3_backend(
-        plan.value(), sim::FetchParams{}, fe, bp, &cache);
+    const Result<BackendResult> r =
+        run_seq3_backend(plan, sim::FetchParams{}, fe, bp, &cache);
     ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    const verify::Report identities = verify::check_backend_result(
+        r.value(), sim::FetchParams{}, fe, bp,
+        verify::trace_instructions(trace, *image));
+    EXPECT_TRUE(identities.ok())
+        << "trial " << trial << ": " << identities.summary();
     CounterSet got;
     r.value().fetch.export_counters(got);
     r.value().frontend.export_counters(got);
     r.value().backend.export_counters(got);
     cache.stats().export_counters(got);
-    const verify::Report report =
-        verify::check_counters_equal(reference, got, "compiled");
+    const verify::Report report = verify::check_counters_equal(
+        run_counters(trace, *image, layout, fe, bp), got, "rebuilt plan");
     EXPECT_TRUE(report.ok()) << "trial " << trial << ": " << report.summary();
   }
 }
@@ -232,15 +244,13 @@ TEST(BackendPropertyDeathTest, PlanWithoutBackendTableAborts) {
   const auto image = random_image(rng, 4);
   const auto trace = random_trace(*image, rng, 50);
   const auto layout = cfg::AddressMap::original(*image);
-  const Result<sim::ReplayPlan> plan =
-      sim::build_replay_plan(sim::ReplayMode::kCompiled, trace, *image,
-                             layout, kGeometry.line_bytes);
-  ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
-  ASSERT_FALSE(plan.value().backend().valid());
+  const sim::ReplayPlan plan =
+      testing::make_plan(trace, *image, layout, kGeometry.line_bytes);
+  ASSERT_FALSE(plan.backend().valid());
   BackendParams bp;
   bp.kind = BackendKind::kOoo;
   sim::ICache cache(kGeometry);
-  EXPECT_DEATH((void)run_seq3_backend(plan.value(), sim::FetchParams{},
+  EXPECT_DEATH((void)run_seq3_backend(plan, sim::FetchParams{},
                                       frontend::FrontEndParams{}, bp, &cache),
                "back-end replay needs a plan built with the back-end spec");
 }
@@ -254,9 +264,9 @@ TEST(BackendPropertyTest, DegenerateFamiliesDoNotWedgeThePipeline) {
     const auto layout = cfg::AddressMap::original(*image);
     const BackendParams bp = random_params(rng);
     sim::ICache cache(kGeometry);
-    const Result<BackendResult> r =
-        run_seq3_backend(trace, *image, layout, sim::FetchParams{},
-                         frontend::FrontEndParams{}, bp, &cache);
+    const Result<BackendResult> r = run_seq3_backend(
+        testing::make_plan(trace, *image, layout, 0, bp.spec()),
+        sim::FetchParams{}, frontend::FrontEndParams{}, bp, &cache);
     ASSERT_TRUE(r.is_ok())
         << testing::degenerate_family_name(family) << ": "
         << r.status().to_string();
@@ -275,10 +285,9 @@ TEST(BackendPropertyTest, EmptyTraceRunsZeroCycles) {
   BackendParams bp;
   bp.kind = BackendKind::kOoo;
   sim::ICache cache(kGeometry);
-  const Result<BackendResult> r =
-      run_seq3_backend(trace::BlockTrace{}, *image, layout,
-                       sim::FetchParams{}, frontend::FrontEndParams{}, bp,
-                       &cache);
+  const Result<BackendResult> r = run_seq3_backend(
+      testing::make_plan(trace::BlockTrace{}, *image, layout, 0, bp.spec()),
+      sim::FetchParams{}, frontend::FrontEndParams{}, bp, &cache);
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_EQ(r.value().backend.cycles, 0u);
   EXPECT_EQ(r.value().backend.retired_ops, 0u);
@@ -313,9 +322,9 @@ TEST(BackendPropertyTest, SingleEntryWindowStillDrainsDeepCallChains) {
   bp.issue_width = 1;
   bp.commit_width = 1;
   sim::ICache cache(kGeometry);
-  const Result<BackendResult> r =
-      run_seq3_backend(trace, *image, layout, sim::FetchParams{},
-                       frontend::FrontEndParams{}, bp, &cache);
+  const Result<BackendResult> r = run_seq3_backend(
+      testing::make_plan(trace, *image, layout, 0, bp.spec()),
+      sim::FetchParams{}, frontend::FrontEndParams{}, bp, &cache);
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   const BackendStats& be = r.value().backend;
   EXPECT_EQ(be.retired_ops, trace.num_events());

@@ -8,11 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "backend/pipeline.h"
 #include "support/faultpoint.h"
+#include "support/rng.h"
 #include "support/stats.h"
+#include "testing/plan.h"
+#include "testing/synthetic.h"
 
 namespace stc::backend {
 namespace {
@@ -187,8 +192,8 @@ TEST(BackendTest, DispatchRespectsIqAndRobBounds) {
   BackendStats stats;
   Backend be(p, &stats);
   ASSERT_TRUE(be.can_dispatch());
-  ASSERT_TRUE(be.dispatch(op(1, 2)).is_ok());
-  ASSERT_TRUE(be.dispatch(op(2, 3)).is_ok());
+  be.dispatch(op(1, 2));
+  be.dispatch(op(2, 3));
   // Two waiting ops fill the issue queue before the ROB fills.
   EXPECT_TRUE(be.iq_full());
   EXPECT_FALSE(be.rob_full());
@@ -196,7 +201,7 @@ TEST(BackendTest, DispatchRespectsIqAndRobBounds) {
   // Issuing frees IQ entries but not ROB entries.
   be.step(0);
   EXPECT_FALSE(be.iq_full());
-  ASSERT_TRUE(be.dispatch(op(3, 4)).is_ok());
+  be.dispatch(op(3, 4));
   EXPECT_TRUE(be.rob_full());
   EXPECT_FALSE(be.can_dispatch());
   EXPECT_EQ(stats.iq_peak, 2u);
@@ -207,8 +212,8 @@ TEST(BackendTest, DispatchRespectsIqAndRobBounds) {
 TEST(BackendTest, TrueDependencyBlocksIssueUntilProducerCompletes) {
   BackendStats stats;
   Backend be(ooo_params(), &stats);
-  ASSERT_TRUE(be.dispatch(op(/*dest=*/1, /*src1=*/0, /*latency=*/3)).is_ok());
-  ASSERT_TRUE(be.dispatch(op(/*dest=*/2, /*src1=*/1)).is_ok());  // RAW on r1
+  be.dispatch(op(/*dest=*/1, /*src1=*/0, /*latency=*/3));
+  be.dispatch(op(/*dest=*/2, /*src1=*/1));  // RAW on r1
   be.step(0);  // producer issues (done at cycle 3), consumer waits
   EXPECT_EQ(stats.issued_ops, 1u);
   EXPECT_EQ(be.iq_size(), 1u);
@@ -227,9 +232,9 @@ TEST(BackendTest, WriteHazardsNeverStall) {
   BackendStats stats;
   Backend be(ooo_params(), &stats);
   // WAW: both write r1; WAR: the second reads r2 which the third writes.
-  ASSERT_TRUE(be.dispatch(op(/*dest=*/1, /*src1=*/0, /*latency=*/5)).is_ok());
-  ASSERT_TRUE(be.dispatch(op(/*dest=*/1, /*src1=*/2)).is_ok());
-  ASSERT_TRUE(be.dispatch(op(/*dest=*/2, /*src1=*/3)).is_ok());
+  be.dispatch(op(/*dest=*/1, /*src1=*/0, /*latency=*/5));
+  be.dispatch(op(/*dest=*/1, /*src1=*/2));
+  be.dispatch(op(/*dest=*/2, /*src1=*/3));
   be.step(0);
   // Renamed-by-sequence dependence tracking: none of these wait.
   EXPECT_EQ(stats.issued_ops, 3u);
@@ -242,9 +247,9 @@ TEST(BackendTest, InOrderStopsAtNotReadyQueueHead) {
   p.kind = BackendKind::kInOrder;
   BackendStats stats;
   Backend be(p, &stats);
-  ASSERT_TRUE(be.dispatch(op(/*dest=*/1, /*src1=*/0, /*latency=*/4)).is_ok());
-  ASSERT_TRUE(be.dispatch(op(/*dest=*/2, /*src1=*/1)).is_ok());  // blocked
-  ASSERT_TRUE(be.dispatch(op(/*dest=*/3, /*src1=*/4)).is_ok());  // ready
+  be.dispatch(op(/*dest=*/1, /*src1=*/0, /*latency=*/4));
+  be.dispatch(op(/*dest=*/2, /*src1=*/1));  // blocked
+  be.dispatch(op(/*dest=*/3, /*src1=*/4));  // ready
   be.step(0);
   EXPECT_EQ(stats.issued_ops, 1u);  // only the producer
   be.step(1);
@@ -259,9 +264,9 @@ TEST(BackendTest, InOrderStopsAtNotReadyQueueHead) {
 TEST(BackendTest, OooIssuesAroundBlockedHead) {
   BackendStats stats;
   Backend be(ooo_params(), &stats);
-  ASSERT_TRUE(be.dispatch(op(/*dest=*/1, /*src1=*/0, /*latency=*/4)).is_ok());
-  ASSERT_TRUE(be.dispatch(op(/*dest=*/2, /*src1=*/1)).is_ok());  // blocked
-  ASSERT_TRUE(be.dispatch(op(/*dest=*/3, /*src1=*/4)).is_ok());  // ready
+  be.dispatch(op(/*dest=*/1, /*src1=*/0, /*latency=*/4));
+  be.dispatch(op(/*dest=*/2, /*src1=*/1));  // blocked
+  be.dispatch(op(/*dest=*/3, /*src1=*/4));  // ready
   be.step(0);
   EXPECT_EQ(stats.issued_ops, 2u);  // producer + independent young op
   EXPECT_EQ(be.iq_size(), 1u);
@@ -287,7 +292,7 @@ TEST(BackendTest, CommitObserverSeesStrictProgramOrder) {
                      /*latency=*/1 + ((i * 7) % 9));
     o.addr = 1000 + i * 4;
     expected.push_back(o.addr);
-    ASSERT_TRUE(be.dispatch(o).is_ok());
+    be.dispatch(o);
   }
   drain(be);
   EXPECT_EQ(committed, expected);
@@ -312,30 +317,74 @@ TEST(BackendTest, StatsExportOrderIsStable) {
   }
 }
 
+// A random program's trace replayed through the default ooo pipeline.
+struct PipelineRun {
+  explicit PipelineRun(std::uint64_t events) {
+    Rng rng(31);
+    image = testing::random_image(rng, 20);
+    trace = testing::random_trace(*image, rng, events);
+    layout = cfg::AddressMap::original(*image);
+    plan = std::make_unique<const sim::ReplayPlan>(
+        testing::make_plan(trace, *image, layout, 0, ooo_params().spec()));
+  }
+  Result<BackendResult> run() const {
+    sim::ICache cache({1024, 32, 1});
+    return run_seq3_backend(*plan, sim::FetchParams{},
+                            frontend::FrontEndParams{}, ooo_params(), &cache);
+  }
+
+  std::unique_ptr<cfg::ProgramImage> image;
+  trace::BlockTrace trace;
+  cfg::AddressMap layout;
+  std::unique_ptr<const sim::ReplayPlan> plan;
+};
+
+CounterSet counters(const BackendResult& r) {
+  CounterSet out;
+  r.fetch.export_counters(out);
+  r.frontend.export_counters(out);
+  r.backend.export_counters(out);
+  return out;
+}
+
+// Faultpoint "backend.dispatch" fires once per pipeline run: a faulted run
+// returns a structured error naming the point, and the retry (the fault was
+// one-shot) produces exactly a clean run's counters.
 TEST(BackendTest, DispatchFaultpointSurfacesStructurally) {
+  const PipelineRun p(2000);
   fault::reset();
-  BackendStats stats;
-  Backend be(ooo_params(), &stats);
+  const Result<BackendResult> clean = p.run();
+  ASSERT_TRUE(clean.is_ok()) << clean.status().to_string();
   fault::arm("backend.dispatch", 1);
-  const Status s = be.dispatch(op(1, 2));
-  ASSERT_FALSE(s.is_ok());
-  EXPECT_NE(s.to_string().find("backend.dispatch"), std::string::npos)
-      << s.to_string();
-  // The faulted op was never inserted; the machine is still clean.
-  EXPECT_EQ(stats.dispatched_ops, 0u);
-  EXPECT_TRUE(be.empty());
-  // The fault was one-shot: the retry dispatches normally.
-  EXPECT_TRUE(be.dispatch(op(1, 2)).is_ok());
-  EXPECT_EQ(stats.dispatched_ops, 1u);
-  drain(be);
+  const Result<BackendResult> faulted = p.run();
+  ASSERT_FALSE(faulted.is_ok());
+  EXPECT_NE(faulted.status().to_string().find("backend.dispatch"),
+            std::string::npos)
+      << faulted.status().to_string();
+  const Result<BackendResult> retried = p.run();
+  ASSERT_TRUE(retried.is_ok()) << retried.status().to_string();
+  EXPECT_EQ(counters(retried.value()).items(),
+            counters(clean.value()).items());
+  fault::reset();
+}
+
+// The point sits outside the per-op loop: one hit per run, however many ops
+// the run dispatches.
+TEST(BackendTest, DispatchFaultpointIsHitOncePerRun) {
+  const PipelineRun p(12000);
+  fault::reset();
+  const Result<BackendResult> r = p.run();
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_GE(r.value().backend.dispatched_ops, 10000u);
+  EXPECT_EQ(fault::hits("backend.dispatch"), 1u);
   fault::reset();
 }
 
 TEST(BackendTest, RetiredInsnsAccumulateBlockSizes) {
   BackendStats stats;
   Backend be(ooo_params(), &stats);
-  ASSERT_TRUE(be.dispatch(op(1, 2, 1, /*insns=*/7)).is_ok());
-  ASSERT_TRUE(be.dispatch(op(2, 3, 1, /*insns=*/5)).is_ok());
+  be.dispatch(op(1, 2, 1, /*insns=*/7));
+  be.dispatch(op(2, 3, 1, /*insns=*/5));
   drain(be);
   EXPECT_EQ(stats.retired_ops, 2u);
   EXPECT_EQ(stats.retired_insns, 12u);

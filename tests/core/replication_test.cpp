@@ -6,7 +6,8 @@
 
 #include "cfg/builder.h"
 #include "cfg/exec.h"
-#include "trace/fetch_stream.h"
+#include "sim/replay.h"
+#include "testing/plan.h"
 
 namespace stc::core {
 namespace {
@@ -128,9 +129,10 @@ TEST(ReplicatorTest, TransformPreservesInstructionCount) {
   const auto transformed = repl.transform(t);
   const auto orig_layout = cfg::AddressMap::original(*f.image);
   const auto repl_layout = cfg::AddressMap::original(repl.image());
-  const auto before = trace::measure_sequentiality(t, *f.image, orig_layout);
-  const auto after =
-      trace::measure_sequentiality(transformed, repl.image(), repl_layout);
+  const auto before = sim::replay_sequentiality(
+      testing::make_plan(t, *f.image, orig_layout, 0));
+  const auto after = sim::replay_sequentiality(
+      testing::make_plan(transformed, repl.image(), repl_layout, 0));
   EXPECT_EQ(before.instructions, after.instructions);
   EXPECT_EQ(before.dynamic_blocks, after.dynamic_blocks);
 }
@@ -182,10 +184,10 @@ TEST(ReplicatorTest, ReplicationUnlocksSequentiality) {
       stc_layout(profile::WeightedCFG::from_profile(prof_after),
                  SeedKind::kAuto, stc)
           .layout;
-  const auto before =
-      trace::measure_sequentiality(t, *f.image, before_layout);
-  const auto after =
-      trace::measure_sequentiality(transformed, repl.image(), after_layout);
+  const auto before = sim::replay_sequentiality(
+      testing::make_plan(t, *f.image, before_layout, 0));
+  const auto after = sim::replay_sequentiality(
+      testing::make_plan(transformed, repl.image(), after_layout, 0));
   // Without clones, at most one call site can fall through into the helper;
   // with per-site copies both can.
   EXPECT_LT(after.taken_transitions, before.taken_transitions);

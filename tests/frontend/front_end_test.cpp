@@ -13,6 +13,7 @@
 #include "support/rng.h"
 #include "testing/synthetic.h"
 #include "verify/oracle.h"
+#include "testing/plan.h"
 
 namespace stc::frontend {
 namespace {
@@ -60,10 +61,12 @@ TEST(FrontEndTest, TransparentMatchesBaselineSeq3) {
     const sim::FetchParams params;
     sim::ICache base_cache(kGeometry);
     const sim::FetchResult base =
-        sim::run_seq3(trace, *image, layout, params, &base_cache);
+        sim::run_seq3(testing::make_plan(trace, *image, layout), params,
+                      &base_cache);
     sim::ICache fe_cache(kGeometry);
     const FrontEndResult spec =
-        run_seq3_frontend(trace, *image, layout, params, fe, &fe_cache);
+        run_seq3_frontend(testing::make_plan(trace, *image, layout), params, fe,
+                          &fe_cache);
     expect_same_fetch(spec.fetch, base);
     expect_zero_frontend(spec.frontend);
   }
@@ -81,10 +84,11 @@ TEST(FrontEndTest, TransparentMatchesBaselineTraceCache) {
     const sim::FetchParams params;
     sim::ICache base_cache(kGeometry);
     const sim::FetchResult base =
-        sim::run_trace_cache(trace, *image, layout, params, tc, &base_cache);
+        sim::run_trace_cache(testing::make_plan(trace, *image, layout), params,
+                             tc, &base_cache);
     sim::ICache fe_cache(kGeometry);
     const FrontEndResult spec = run_trace_cache_frontend(
-        trace, *image, layout, params, tc, fe, &fe_cache);
+        testing::make_plan(trace, *image, layout), params, tc, fe, &fe_cache);
     expect_same_fetch(spec.fetch, base);
     expect_zero_frontend(spec.frontend);
   }
@@ -102,10 +106,12 @@ TEST(FrontEndTest, TransparentMatchesBaselineOnDegenerateFamilies) {
     const auto layout = cfg::AddressMap::original(*image);
     sim::ICache base_cache(kGeometry);
     const sim::FetchResult base =
-        sim::run_seq3(trace, *image, layout, params, &base_cache);
+        sim::run_seq3(testing::make_plan(trace, *image, layout), params,
+                      &base_cache);
     sim::ICache fe_cache(kGeometry);
     const FrontEndResult spec =
-        run_seq3_frontend(trace, *image, layout, params, fe, &fe_cache);
+        run_seq3_frontend(testing::make_plan(trace, *image, layout), params, fe,
+                          &fe_cache);
     expect_same_fetch(spec.fetch, base);
     expect_zero_frontend(spec.frontend);
   }
@@ -150,7 +156,8 @@ TEST(FrontEndTest, RealisticPredictorsReportMispredicts) {
     fe.prefetch = true;
     sim::ICache cache(kGeometry);
     const FrontEndResult result =
-        run_seq3_frontend(trace, *image, layout, params, fe, &cache);
+        run_seq3_frontend(testing::make_plan(trace, *image, layout), params, fe,
+                          &cache);
     EXPECT_GT(result.frontend.bp_lookups, 0u) << to_string(kind);
     // The alternating branch defeats always-taken half the time; even the
     // adaptive predictors mispredict during warmup.
@@ -160,7 +167,8 @@ TEST(FrontEndTest, RealisticPredictorsReportMispredicts) {
     // Bubbles and stalls only ever add cycles over the baseline.
     sim::ICache base_cache(kGeometry);
     const sim::FetchResult base =
-        sim::run_seq3(trace, *image, layout, params, &base_cache);
+        sim::run_seq3(testing::make_plan(trace, *image, layout), params,
+                      &base_cache);
     EXPECT_GE(result.fetch.cycles, base.cycles) << to_string(kind);
     // And the full oracle identity set holds.
     const verify::Report report = verify::check_frontend_result(
@@ -178,10 +186,12 @@ TEST(FrontEndTest, GshareLearnsTheAlternationAwayEventually) {
 
   sim::ICache short_cache(kGeometry);
   const FrontEndResult short_run = run_seq3_frontend(
-      alternating_trace(50), *image, layout, params, fe, &short_cache);
+      testing::make_plan(alternating_trace(50), *image, layout), params, fe,
+      &short_cache);
   sim::ICache long_cache(kGeometry);
   const FrontEndResult long_run = run_seq3_frontend(
-      alternating_trace(2000), *image, layout, params, fe, &long_cache);
+      testing::make_plan(alternating_trace(2000), *image, layout), params, fe,
+      &long_cache);
   // Warmup mispredictions stop accruing once the history table converges:
   // 40x the work must not cost anywhere near 40x the mispredicts.
   EXPECT_LT(long_run.frontend.bp_mispredicts,
@@ -233,7 +243,8 @@ TEST(FrontEndTest, ShallowRasMispredictsDeepReturns) {
     fe.kind = BpredKind::kGshare;
     fe.ras_depth = ras_depth;
     sim::ICache cache(kGeometry);
-    return run_seq3_frontend(trace, *image, layout, params, fe, &cache);
+    return run_seq3_frontend(testing::make_plan(trace, *image, layout), params,
+                             fe, &cache);
   };
   const FrontEndResult shallow = run_with_depth(2);
   const FrontEndResult deep = run_with_depth(16);
@@ -256,7 +267,8 @@ TEST(FrontEndTest, PrefetchingIssuesAndClassifiesPrefetches) {
   // Small direct-mapped cache: plenty of misses for FDIP to hide.
   sim::ICache cache(sim::CacheGeometry{512, 32, 1});
   const FrontEndResult result =
-      run_seq3_frontend(trace, *image, layout, params, fe, &cache);
+      run_seq3_frontend(testing::make_plan(trace, *image, layout), params, fe,
+                        &cache);
   EXPECT_GT(result.frontend.prefetch_issued, 0u);
   EXPECT_LE(result.frontend.prefetch_useful + result.frontend.prefetch_late +
                 result.frontend.prefetch_evicted,
@@ -279,7 +291,7 @@ TEST(FrontEndTest, TraceCacheFrontendSatisfiesOracle) {
   fe.prefetch = true;
   sim::ICache cache(kGeometry);
   const FrontEndResult result = run_trace_cache_frontend(
-      trace, *image, layout, params, tc, fe, &cache);
+      testing::make_plan(trace, *image, layout), params, tc, fe, &cache);
   EXPECT_GT(result.frontend.bp_lookups, 0u);
   // Probe identity survives speculative next-trace selection.
   EXPECT_EQ(result.fetch.tc_probes,
@@ -301,7 +313,8 @@ TEST(FrontEndTest, RunsAreDeterministic) {
   fe.prefetch = true;
   const auto run_once = [&] {
     sim::ICache cache(kGeometry);
-    return run_seq3_frontend(trace, *image, layout, params, fe, &cache);
+    return run_seq3_frontend(testing::make_plan(trace, *image, layout), params,
+                             fe, &cache);
   };
   const FrontEndResult a = run_once();
   const FrontEndResult b = run_once();

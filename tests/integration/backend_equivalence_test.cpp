@@ -21,6 +21,7 @@
 #include "support/experiment.h"
 #include "support/faultpoint.h"
 #include "support/rng.h"
+#include "testing/plan.h"
 #include "testing/synthetic.h"
 
 namespace stc {
@@ -60,7 +61,8 @@ TEST(BackendEquivalenceTest, OffBackendLeavesSeq3CellsByteIdentical) {
           const cfg::AddressMap& l) {
         sim::FetchParams params;
         sim::ICache cache(geometry);
-        const sim::FetchResult sim = sim::run_seq3(t, i, l, params, &cache);
+        const sim::FetchResult sim =
+            sim::run_seq3(testing::make_plan(t, i, l), params, &cache);
         ExperimentResult result;
         result.metric("ipc", sim.ipc());
         sim.export_counters(result.counters());
@@ -113,8 +115,8 @@ backend::BackendResult golden_run(const backend::BackendParams& bp) {
   sim::FetchParams fetch;
   fetch.perfect_icache = true;
   const Result<backend::BackendResult> r = backend::run_seq3_backend(
-      golden_trace(), *image, layout, fetch, frontend::FrontEndParams{}, bp,
-      nullptr);
+      testing::make_plan(golden_trace(), *image, layout, 0, bp.spec()), fetch,
+      frontend::FrontEndParams{}, bp, nullptr);
   EXPECT_TRUE(r.is_ok()) << r.status().to_string();
   return r.value();
 }

@@ -9,7 +9,9 @@
 #include "profile/profile.h"
 #include "sim/fetch_unit.h"
 #include "sim/icache.h"
+#include "sim/replay.h"
 #include "sim/trace_cache.h"
+#include "testing/plan.h"
 #include "verify/oracle.h"
 
 namespace stc {
@@ -55,18 +57,20 @@ class PipelineTest : public ::testing::Test {
     wcfg_ = nullptr;
   }
 
+  // The Test trace's replay plan under `layout`, with 32-byte line tables.
+  static sim::ReplayPlan plan(const cfg::AddressMap& layout) {
+    return testing::make_plan(*test_, db::kernel_image(), layout, 32);
+  }
   static double miss_rate(const cfg::AddressMap& layout,
                           std::uint32_t cache_bytes) {
     sim::ICache cache({cache_bytes, 32, 1});
-    return sim::run_missrate(*test_, db::kernel_image(), layout, cache)
-        .misses_per_100_insns();
+    return sim::replay_missrate(plan(layout), cache).misses_per_100_insns();
   }
   static double fetch_ipc(const cfg::AddressMap& layout,
                           std::uint32_t cache_bytes) {
     sim::ICache cache({cache_bytes, 32, 1});
     sim::FetchParams params;
-    return sim::run_seq3(*test_, db::kernel_image(), layout, params, &cache)
-        .ipc();
+    return sim::run_seq3(plan(layout), params, &cache).ipc();
   }
 
   static db::Database* btree_;
@@ -179,10 +183,8 @@ TEST_F(PipelineTest, Table3_AllProfileGuidedLayoutsBeatOriginal) {
 TEST_F(PipelineTest, SequentialityDoublesLikeThePaper) {
   const auto orig = core::make_layout(core::LayoutKind::kOrig, *wcfg_, 4096, 1024);
   const auto ops = core::make_layout(core::LayoutKind::kStcOps, *wcfg_, 4096, 1024);
-  const auto before =
-      trace::measure_sequentiality(*test_, db::kernel_image(), orig);
-  const auto after =
-      trace::measure_sequentiality(*test_, db::kernel_image(), ops);
+  const auto before = sim::replay_sequentiality(plan(orig));
+  const auto after = sim::replay_sequentiality(plan(ops));
   // Paper: 8.9 -> 22.4 instructions between taken branches. Our dispatcher-
   // heavy kernel gains less, but the improvement must be substantial.
   EXPECT_GT(after.insns_between_taken_branches(),
@@ -202,16 +204,12 @@ TEST_F(PipelineTest, Table4_TraceCacheCombinesWithSoftwareLayout) {
   sim::TraceCacheParams tc;
   tc.entries = 64;
   sim::ICache c1({4096, 32, 1});
-  const double tc_orig = sim::run_trace_cache(*test_, db::kernel_image(), orig,
-                                              params, tc, &c1)
-                             .ipc();
+  const double tc_orig =
+      sim::run_trace_cache(plan(orig), params, tc, &c1).ipc();
   sim::ICache c2({4096, 32, 1});
-  const double tc_ops = sim::run_trace_cache(*test_, db::kernel_image(), ops,
-                                             params, tc, &c2)
-                            .ipc();
+  const double tc_ops = sim::run_trace_cache(plan(ops), params, tc, &c2).ipc();
   sim::ICache c3({4096, 32, 1});
-  const double seq_orig =
-      sim::run_seq3(*test_, db::kernel_image(), orig, params, &c3).ipc();
+  const double seq_orig = sim::run_seq3(plan(orig), params, &c3).ipc();
   // TC alone beats plain SEQ.3; TC + software layout beats TC alone.
   EXPECT_GT(tc_orig, seq_orig);
   EXPECT_GT(tc_ops, tc_orig);
@@ -222,14 +220,12 @@ TEST_F(PipelineTest, HardwareAlternativesHelpLessThanReordering) {
   const auto ops = core::make_layout(core::LayoutKind::kStcOps, *wcfg_, 2048, 512);
   sim::ICache two_way({2048, 32, 2});
   const double m_2way =
-      sim::run_missrate(*test_, db::kernel_image(), orig, two_way)
-          .misses_per_100_insns();
+      sim::replay_missrate(plan(orig), two_way).misses_per_100_insns();
   // 16 victim lines on the paper's 8-64KB caches ~= 1/16 of the smallest
   // cache; scaled to the 2KB cache that is 4 lines.
   sim::ICache victim({2048, 32, 1}, 4);
   const double m_victim =
-      sim::run_missrate(*test_, db::kernel_image(), orig, victim)
-          .misses_per_100_insns();
+      sim::replay_missrate(plan(orig), victim).misses_per_100_insns();
   const double m_ops = miss_rate(ops, 2048);
   // The paper's Table 3: all code layouts beat both hardware variants.
   EXPECT_LT(m_ops, m_2way);
@@ -239,8 +235,8 @@ TEST_F(PipelineTest, HardwareAlternativesHelpLessThanReordering) {
 TEST_F(PipelineTest, ReplayIsLayoutIndependentInInstructionCount) {
   const auto orig = core::make_layout(core::LayoutKind::kOrig, *wcfg_, 2048, 512);
   const auto ops = core::make_layout(core::LayoutKind::kStcOps, *wcfg_, 2048, 512);
-  const auto a = trace::measure_sequentiality(*test_, db::kernel_image(), orig);
-  const auto b = trace::measure_sequentiality(*test_, db::kernel_image(), ops);
+  const auto a = sim::replay_sequentiality(plan(orig));
+  const auto b = sim::replay_sequentiality(plan(ops));
   EXPECT_EQ(a.instructions, b.instructions);
   EXPECT_EQ(a.dynamic_blocks, b.dynamic_blocks);
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "cfg/builder.h"
+#include "sim/replay.h"
+#include "testing/plan.h"
 
 namespace stc::sim {
 namespace {
@@ -28,7 +30,8 @@ TEST(FetchPipeTest, PeekAndConsume) {
   trace::BlockTrace t;
   t.append(0);
   t.append(1);
-  FetchPipe pipe(t, *f.image, f.layout);
+  const ReplayPlan plan = testing::make_plan(t, *f.image, f.layout);
+  FetchPipe pipe(plan);
   FetchPipe::Insn insn;
   ASSERT_TRUE(pipe.peek(0, insn));
   EXPECT_EQ(insn.addr, 0u);
@@ -48,7 +51,8 @@ TEST(FetchPipeTest, AddrAdvancesWithinBlock) {
   Fixture f({{"A", 4, BlockKind::kReturn}});
   trace::BlockTrace t;
   t.append(0);
-  FetchPipe pipe(t, *f.image, f.layout);
+  const ReplayPlan plan = testing::make_plan(t, *f.image, f.layout);
+  FetchPipe pipe(plan);
   EXPECT_EQ(pipe.addr(), 0u);
   pipe.consume(1);
   EXPECT_EQ(pipe.addr(), 4u);
@@ -63,7 +67,8 @@ TEST(Seq3Test, SuppliesUpTo16SequentialInstructions) {
   t.append(0);
   FetchParams params;
   params.perfect_icache = true;
-  const FetchResult result = run_seq3(t, *f.image, f.layout, params, nullptr);
+  const FetchResult result =
+      run_seq3(testing::make_plan(t, *f.image, f.layout), params, nullptr);
   EXPECT_EQ(result.instructions, 20u);
   EXPECT_EQ(result.cycles, 2u);
 }
@@ -77,7 +82,8 @@ TEST(Seq3Test, StopsAtFirstTakenBranch) {
   t.append(1);
   FetchParams params;
   params.perfect_icache = true;
-  const FetchResult result = run_seq3(t, *f.image, f.layout, params, nullptr);
+  const FetchResult result =
+      run_seq3(testing::make_plan(t, *f.image, f.layout), params, nullptr);
   // Cycle 1: A (4 insns, taken). Cycle 2: A then B sequential = 8 insns but
   // A ends in a not-taken branch and B in a return: 2 branches < 3 -> one
   // cycle for both.
@@ -99,7 +105,8 @@ TEST(Seq3Test, ThreeBranchLimit) {
   t.append(3);
   FetchParams params;
   params.perfect_icache = true;
-  const FetchResult result = run_seq3(t, *f.image, f.layout, params, nullptr);
+  const FetchResult result =
+      run_seq3(testing::make_plan(t, *f.image, f.layout), params, nullptr);
   EXPECT_EQ(result.instructions, 4u);
   EXPECT_EQ(result.cycles, 2u);  // 3 insns (3 branches), then 1
 }
@@ -115,7 +122,8 @@ TEST(Seq3Test, TwoLineWindowLimitsFetch) {
   t.append(1);
   FetchParams params;
   ICache cache({1024, 32, 1});
-  const FetchResult result = run_seq3(t, *f.image, f.layout, params, &cache);
+  const FetchResult result =
+      run_seq3(testing::make_plan(t, *f.image, f.layout), params, &cache);
   // Cycle 1: insns at [0,64) = 16 insns (2 lines). Cycle 2: [64,128) = 16.
   EXPECT_EQ(result.instructions, 32u);
   EXPECT_EQ(result.fetch_requests, 2u);
@@ -129,7 +137,8 @@ TEST(Seq3Test, MissPenaltyAddsStallCycles) {
   FetchParams params;
   params.miss_penalty = 5;
   ICache cache({1024, 64, 1});
-  const FetchResult result = run_seq3(t, *f.image, f.layout, params, &cache);
+  const FetchResult result =
+      run_seq3(testing::make_plan(t, *f.image, f.layout), params, &cache);
   // Fetch 1: miss (line 0) -> 1 + 5 cycles. Fetch 2: hit -> 1 cycle.
   EXPECT_EQ(result.instructions, 32u);
   EXPECT_EQ(result.cycles, 7u);
@@ -144,7 +153,8 @@ TEST(Seq3Test, PenaltyPerLineDoublesOnDoubleMiss) {
   FetchParams params;
   params.penalty_per_line = true;
   ICache cache({1024, 32, 1});
-  const FetchResult result = run_seq3(t, *f.image, f.layout, params, &cache);
+  const FetchResult result =
+      run_seq3(testing::make_plan(t, *f.image, f.layout), params, &cache);
   EXPECT_EQ(result.lines_missed, 2u);
   EXPECT_EQ(result.cycles, 1u + 10u);
 }
@@ -155,7 +165,8 @@ TEST(Seq3Test, PerfectIcacheNeverStalls) {
   for (int i = 0; i < 100; ++i) t.append(0);
   FetchParams params;
   params.perfect_icache = true;
-  const FetchResult result = run_seq3(t, *f.image, f.layout, params, nullptr);
+  const FetchResult result =
+      run_seq3(testing::make_plan(t, *f.image, f.layout), params, nullptr);
   EXPECT_EQ(result.cycles, result.fetch_requests);
   EXPECT_DOUBLE_EQ(result.ipc(), 16.0);
 }
@@ -179,7 +190,8 @@ TEST(Seq3Test, DisplacedFallThroughStopsFetchButIsNotABranch) {
   t.append(image->block_id(r, "B"));
   FetchParams params;
   params.perfect_icache = true;
-  const FetchResult result = run_seq3(t, *image, layout, params, nullptr);
+  const FetchResult result =
+      run_seq3(testing::make_plan(t, *image, layout), params, nullptr);
   EXPECT_EQ(result.instructions, 8u);
   EXPECT_EQ(result.cycles, 2u);  // the displaced transition splits the fetch
 }
@@ -205,8 +217,10 @@ TEST(Seq3Test, IpcImprovesWithPackedLayout) {
   packed.set(image->block_id(r, "A"), 0);
   packed.set(image->block_id(r, "C"), 16);
   packed.set(image->block_id(r, "B"), 128);
-  const auto before = run_seq3(t, *image, orig, params, nullptr);
-  const auto after = run_seq3(t, *image, packed, params, nullptr);
+  const auto before =
+      run_seq3(testing::make_plan(t, *image, orig), params, nullptr);
+  const auto after =
+      run_seq3(testing::make_plan(t, *image, packed), params, nullptr);
   EXPECT_GT(after.ipc(), before.ipc());
 }
 

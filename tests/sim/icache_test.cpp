@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cfg/builder.h"
+#include "verify/reference.h"
 
 namespace stc::sim {
 namespace {
@@ -98,7 +99,7 @@ TEST(ICacheDeathTest, RejectsNonPowerOfTwoLine) {
   EXPECT_DEATH(ICache({1024, 48, 1}), "");
 }
 
-// ---- run_missrate over a trace ---------------------------------------------
+// ---- the reference miss-rate walk over a trace -----------------------------
 
 struct TraceFixture {
   TraceFixture() {
@@ -120,7 +121,8 @@ TEST(MissRateTest, CountsInstructionsAndLineAccesses) {
   t.append(1);
   ICache cache({1024, 64, 1});
   const auto layout = cfg::AddressMap::original(*f.image);
-  const MissRateResult result = run_missrate(t, *f.image, layout, cache);
+  const MissRateResult result =
+      verify::reference_missrate(t, *f.image, layout, cache);
   EXPECT_EQ(result.instructions, 32u);
   EXPECT_EQ(result.line_accesses, 2u);
   EXPECT_EQ(result.misses, 2u);  // both cold
@@ -136,7 +138,8 @@ TEST(MissRateTest, RepeatedBlocksHitAfterWarmup) {
   }
   ICache cache({1024, 64, 1});
   const auto layout = cfg::AddressMap::original(*f.image);
-  const MissRateResult result = run_missrate(t, *f.image, layout, cache);
+  const MissRateResult result =
+      verify::reference_missrate(t, *f.image, layout, cache);
   EXPECT_EQ(result.misses, 2u);  // only cold misses
 }
 
@@ -152,7 +155,8 @@ TEST(MissRateTest, ConflictingLayoutMissesEveryTime) {
   layout.set(0, 0);
   layout.set(1, 1024);
   ICache cache({1024, 64, 1});
-  const MissRateResult result = run_missrate(t, *f.image, layout, cache);
+  const MissRateResult result =
+      verify::reference_missrate(t, *f.image, layout, cache);
   EXPECT_EQ(result.misses, 20u);
 }
 
@@ -170,7 +174,7 @@ TEST(MissRateTest, PerBlockAttributionSumsToTotal) {
   ICache cache({1024, 64, 1});
   std::vector<std::uint64_t> per_block;
   const MissRateResult result =
-      run_missrate(t, *f.image, layout, cache, &per_block);
+      verify::reference_missrate(t, *f.image, layout, cache, &per_block);
   ASSERT_EQ(per_block.size(), f.image->num_blocks());
   std::uint64_t sum = 0;
   for (std::uint64_t m : per_block) sum += m;
@@ -188,7 +192,8 @@ TEST(MissRateTest, BlockSpanningTwoLinesTouchesBoth) {
   t.append(0);
   ICache cache({1024, 64, 1});
   const auto layout = cfg::AddressMap::original(*image);
-  const MissRateResult result = run_missrate(t, *image, layout, cache);
+  const MissRateResult result =
+      verify::reference_missrate(t, *image, layout, cache);
   EXPECT_EQ(result.line_accesses, 2u);
 }
 

@@ -1,10 +1,11 @@
-// Replay-mode equivalence: the compiled replay engine (sim/replay.h) must
-// reproduce the interpreter bit for bit — every simulator counter, every
-// cache statistic, every speculative-front-end cycle count — on every
-// synthetic program family, every degenerate family and every layout kind.
-// The parameterized suites drive the oracle's check_replay_modes (six
-// simulators per triple); the direct tests assert a few headline counters
-// explicitly, and the corpus tests replay the fuzz regression shapes
+// Replay equivalence: the replay plan (sim/replay.h) must reproduce the
+// oracle's per-event references bit for bit — the missrate and
+// sequentiality kernels' counters, and the BlockRuns and back-end op values
+// the fetch family reads — on every synthetic program family, every
+// degenerate family and every layout kind. The parameterized suites drive
+// the oracle's check_replay_modes and check_plan_feed; the direct tests
+// assert a few headline counters explicitly and show that check_plan_feed
+// rejects a stale plan; the corpus tests replay the fuzz regression shapes
 // through run_replay_diff.
 #include <gtest/gtest.h>
 
@@ -15,9 +16,11 @@
 #include "sim/replay.h"
 #include "sim/trace_cache.h"
 #include "support/rng.h"
+#include "testing/plan.h"
 #include "testing/synthetic.h"
 #include "verify/fuzz.h"
 #include "verify/oracle.h"
+#include "verify/reference.h"
 
 namespace stc::sim {
 namespace {
@@ -56,7 +59,8 @@ class ReplayModesTest : public ::testing::TestWithParam<ModesInput> {
   trace::BlockTrace trace;
 };
 
-// Every simulator, every replay mode, every layout kind: bit-identical.
+// Every simulator, every layout kind: kernels equal to their references,
+// feed equal to the reference stream, counter identities intact.
 TEST_P(ReplayModesTest, AllSimulatorsIdenticalAcrossModesAndLayouts) {
   const ModesInput& p = GetParam();
   const CacheGeometry geometry{p.cache_bytes, p.line_bytes, 1};
@@ -65,6 +69,24 @@ TEST_P(ReplayModesTest, AllSimulatorsIdenticalAcrossModesAndLayouts) {
         core::make_layout(kind, wcfg, p.cache_bytes, p.cache_bytes / 4);
     const verify::Report report =
         verify::check_replay_modes(trace, *image, layout, geometry);
+    EXPECT_TRUE(report.ok())
+        << core::to_string(kind) << ": " << report.summary();
+  }
+}
+
+// A plan built for the triple it is checked against feeds exactly what the
+// reference stream walks, back-end tables included.
+TEST_P(ReplayModesTest, MatchingPlanPassesTheFeedCheck) {
+  const ModesInput& p = GetParam();
+  BackendSpec spec;
+  spec.enabled = true;
+  for (core::LayoutKind kind : kAllLayouts) {
+    const cfg::AddressMap layout =
+        core::make_layout(kind, wcfg, p.cache_bytes, p.cache_bytes / 4);
+    const ReplayPlan plan =
+        testing::make_plan(trace, *image, layout, p.line_bytes, spec);
+    const verify::Report report =
+        verify::check_plan_feed(trace, *image, layout, plan, spec);
     EXPECT_TRUE(report.ok())
         << core::to_string(kind) << ": " << report.summary();
   }
@@ -88,7 +110,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Direct counter assertions (not via the oracle) on one random input, so a
-// divergence shows up as a readable EXPECT_EQ on the exact field.
+// divergence shows up as a readable EXPECT_EQ on the exact field: the
+// kernels against the per-event references, and the fetch family's
+// instruction totals and cycle identities against the same walk.
 TEST(ReplayModesDirect, HeadlineCountersMatchInterp) {
   Rng rng(777);
   const auto image = testing::random_image(rng, 50);
@@ -98,58 +122,115 @@ TEST(ReplayModesDirect, HeadlineCountersMatchInterp) {
       core::make_layout(core::LayoutKind::kStcOps, wcfg, 2048, 512);
   const CacheGeometry geometry{2048, 32, 1};
 
-  ICache interp_cache(geometry);
-  const MissRateResult interp_miss =
-      run_missrate(trace, *image, layout, interp_cache);
-  FetchParams params;
-  ICache interp_seq3_cache(geometry);
-  const FetchResult interp_seq3 =
-      run_seq3(trace, *image, layout, params, &interp_seq3_cache);
-  const TraceCacheParams tc_params;
-  ICache interp_tc_cache(geometry);
-  const FetchResult interp_tc = run_trace_cache(trace, *image, layout, params,
-                                                tc_params, &interp_tc_cache);
-  frontend::FrontEndParams fe;
-  fe.kind = frontend::BpredKind::kGshare;
-  fe.prefetch = true;
-  ICache interp_fe_cache(geometry);
-  const frontend::FrontEndResult interp_fe = frontend::run_seq3_frontend(
-      trace, *image, layout, params, fe, &interp_fe_cache);
-
-  Result<ReplayPlan> plan = build_replay_plan(
-      ReplayMode::kCompiled, trace, *image, layout, geometry.line_bytes);
-  ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+  ICache ref_cache(geometry);
+  const MissRateResult ref_miss =
+      verify::reference_missrate(trace, *image, layout, ref_cache);
+  const trace::SequentialityStats ref_seq =
+      verify::reference_sequentiality(trace, *image, layout);
+  const ReplayPlan plan =
+      testing::make_plan(trace, *image, layout, geometry.line_bytes);
 
   ICache miss_cache(geometry);
-  const MissRateResult miss = replay_missrate(plan.value(), miss_cache);
-  EXPECT_EQ(miss.instructions, interp_miss.instructions);
-  EXPECT_EQ(miss.misses, interp_miss.misses);
-  EXPECT_EQ(miss.line_accesses, interp_miss.line_accesses);
-  EXPECT_EQ(miss_cache.stats().misses, interp_cache.stats().misses);
+  const MissRateResult miss = replay_missrate(plan, miss_cache);
+  EXPECT_EQ(miss.instructions, ref_miss.instructions);
+  EXPECT_EQ(miss.misses, ref_miss.misses);
+  EXPECT_EQ(miss.line_accesses, ref_miss.line_accesses);
+  EXPECT_EQ(miss_cache.stats().misses, ref_cache.stats().misses);
 
+  const trace::SequentialityStats seq = replay_sequentiality(plan);
+  EXPECT_EQ(seq.instructions, ref_seq.instructions);
+  EXPECT_EQ(seq.dynamic_blocks, ref_seq.dynamic_blocks);
+  EXPECT_EQ(seq.taken_transitions, ref_seq.taken_transitions);
+
+  FetchParams params;
   ICache seq3_cache(geometry);
-  const FetchResult seq3 = run_seq3(plan.value(), params, &seq3_cache);
-  EXPECT_EQ(seq3.instructions, interp_seq3.instructions);
-  EXPECT_EQ(seq3.cycles, interp_seq3.cycles);
-  EXPECT_EQ(seq3.fetch_requests, interp_seq3.fetch_requests);
-  EXPECT_EQ(seq3_cache.stats().misses, interp_seq3_cache.stats().misses);
+  const FetchResult seq3 = run_seq3(plan, params, &seq3_cache);
+  EXPECT_EQ(seq3.instructions, ref_miss.instructions);
+  EXPECT_EQ(seq3.cycles, seq3.fetch_requests +
+                             std::uint64_t{params.miss_penalty} *
+                                 seq3.miss_requests);
+  EXPECT_EQ(seq3.lines_missed, seq3_cache.stats().misses);
 
   ICache tc_cache(geometry);
   const FetchResult tc =
-      run_trace_cache(plan.value(), params, tc_params, &tc_cache);
-  EXPECT_EQ(tc.cycles, interp_tc.cycles);
-  EXPECT_EQ(tc.tc_hits, interp_tc.tc_hits);
-  EXPECT_EQ(tc.tc_misses, interp_tc.tc_misses);
-  EXPECT_EQ(tc.tc_fills, interp_tc.tc_fills);
+      run_trace_cache(plan, params, TraceCacheParams{}, &tc_cache);
+  EXPECT_EQ(tc.instructions, ref_miss.instructions);
+  EXPECT_EQ(tc.tc_hits + tc.tc_misses, tc.fetch_requests);
 
+  frontend::FrontEndParams fe;
+  fe.kind = frontend::BpredKind::kGshare;
+  fe.prefetch = true;
   ICache fe_cache(geometry);
   const frontend::FrontEndResult fe_result =
-      frontend::run_seq3_frontend(plan.value(), params, fe, &fe_cache);
-  EXPECT_EQ(fe_result.fetch.cycles, interp_fe.fetch.cycles);
-  EXPECT_EQ(fe_result.frontend.bp_mispredicts,
-            interp_fe.frontend.bp_mispredicts);
-  EXPECT_EQ(fe_result.frontend.prefetch_issued,
-            interp_fe.frontend.prefetch_issued);
+      frontend::run_seq3_frontend(plan, params, fe, &fe_cache);
+  EXPECT_EQ(fe_result.fetch.instructions, ref_miss.instructions);
+  EXPECT_EQ(fe_result.frontend.bp_bubble_cycles,
+            fe_result.frontend.bp_mispredicts * fe.mispredict_penalty);
+}
+
+// A plan built for layout A and checked against layout B — the stale-plan
+// bug a pointer-keyed plan cache produces — fails the feed check, naming
+// the first event whose run differs.
+TEST(ReplayModesDirect, FeedCheckCatchesAPlanForAnotherLayout) {
+  Rng rng(779);
+  const auto image = testing::random_image(rng, 30);
+  const auto wcfg = testing::random_wcfg(*image, rng);
+  const trace::BlockTrace trace = testing::random_trace(*image, rng, 4000);
+  const cfg::AddressMap a = cfg::AddressMap::original(*image);
+  const cfg::AddressMap b =
+      core::make_layout(core::LayoutKind::kStcOps, wcfg, 1024, 256);
+  const ReplayPlan plan_a = testing::make_plan(trace, *image, a);
+
+  // The first event at which the two layouts give a different BlockRun.
+  trace::BlockRunStream stream_a(trace, *image, a);
+  trace::BlockRunStream stream_b(trace, *image, b);
+  trace::BlockRun run_a;
+  trace::BlockRun run_b;
+  std::uint64_t first = 0;
+  while (stream_a.next(run_a) && stream_b.next(run_b) &&
+         run_a.addr == run_b.addr && run_a.next_addr == run_b.next_addr &&
+         run_a.taken == run_b.taken) {
+    ++first;
+  }
+  ASSERT_LT(first, trace.num_events()) << "layouts never diverge";
+
+  const verify::Report report =
+      verify::check_plan_feed(trace, *image, b, plan_a);
+  ASSERT_FALSE(report.ok());
+  ASSERT_EQ(report.errors().size(), 1u) << report.summary();
+  EXPECT_NE(report.errors()[0].find("diverges at event " +
+                                    std::to_string(first) + " "),
+            std::string::npos)
+      << report.summary();
+  EXPECT_TRUE(verify::check_plan_feed(trace, *image, a, plan_a).ok());
+}
+
+// A plan whose back-end tables were baked under another BackendSpec fails
+// the table check even though its feed is right.
+TEST(ReplayModesDirect, FeedCheckCatchesAPlanForAnotherBackendSpec) {
+  Rng rng(780);
+  const auto image = testing::random_image(rng, 30);
+  const trace::BlockTrace trace = testing::random_trace(*image, rng, 4000);
+  const cfg::AddressMap layout = cfg::AddressMap::original(*image);
+  BackendSpec built_for;
+  built_for.enabled = true;
+  BackendSpec expected = built_for;
+  expected.base_latency = built_for.base_latency + 2;
+  const ReplayPlan plan =
+      testing::make_plan(trace, *image, layout, 0, built_for);
+
+  const verify::Report stale =
+      verify::check_plan_feed(trace, *image, layout, plan, expected);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_NE(stale.summary().find("back-end table"), std::string::npos)
+      << stale.summary();
+  EXPECT_TRUE(
+      verify::check_plan_feed(trace, *image, layout, plan, built_for).ok());
+  // A plan without tables, checked as a back-end plan, fails too.
+  const ReplayPlan no_tables = testing::make_plan(trace, *image, layout);
+  EXPECT_FALSE(
+      verify::check_plan_feed(trace, *image, layout, no_tables, expected)
+          .ok());
 }
 
 // A compiled plan built with one line size must still serve a simulator run
@@ -161,24 +242,21 @@ TEST(ReplayModesDirect, CompiledPlanWithMismatchedLineSizeStaysCorrect) {
   const trace::BlockTrace trace = testing::random_trace(*image, rng, 5000);
   const cfg::AddressMap layout = cfg::AddressMap::original(*image);
 
-  Result<ReplayPlan> plan =
-      build_replay_plan(ReplayMode::kCompiled, trace, *image, layout, 64);
-  ASSERT_TRUE(plan.is_ok());
+  const ReplayPlan plan = testing::make_plan(trace, *image, layout, 64);
   const CacheGeometry geometry{1024, 32, 1};  // 32B lines, tables are 64B
-  ICache interp_cache(geometry);
-  const MissRateResult interp =
-      run_missrate(trace, *image, layout, interp_cache);
+  ICache ref_cache(geometry);
+  const MissRateResult reference =
+      verify::reference_missrate(trace, *image, layout, ref_cache);
   ICache replay_cache(geometry);
-  const MissRateResult replayed =
-      replay_missrate(plan.value(), replay_cache);
-  EXPECT_EQ(replayed.misses, interp.misses);
-  EXPECT_EQ(replayed.line_accesses, interp.line_accesses);
+  const MissRateResult replayed = replay_missrate(plan, replay_cache);
+  EXPECT_EQ(replayed.misses, reference.misses);
+  EXPECT_EQ(replayed.line_accesses, reference.line_accesses);
 }
 
 // ---- Fuzz regression corpus through the replay-diff check ----------------
 // The shapes below mirror tests/verify/regression_cases.cpp (the corpus the
-// PR 2/3 fuzzers minimized); any replay-engine divergence on them would have
-// been found by stc_fuzz --replay-diff and belongs here shrunken.
+// fuzzers minimized); any replay divergence on them would have been found
+// by stc_fuzz --replay-diff and belongs here shrunken.
 
 verify::FuzzCase corpus_empty() {
   verify::FuzzCase c;

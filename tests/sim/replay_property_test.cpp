@@ -2,7 +2,7 @@
 // decode (boundary shapes: empty traces, single events, chunk-straddling
 // runs), the bump arena (alignment, zero-fill, pointer stability, reset
 // reuse), compiled-table construction (deterministic across thread counts),
-// and the replay.compile faultpoint's clean fallback to the interpreter.
+// and the replay.compile faultpoint's structured, retryable failure.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -151,20 +151,6 @@ TEST(ReplayArenaTest, ResetKeepsSlabsAndReusesMemory) {
   EXPECT_EQ(arena.num_slabs(), slabs_before);  // reused, not regrown
 }
 
-TEST(ReplayModeParseTest, AcceptsEveryKnobValueAndRejectsGarbage) {
-  EXPECT_EQ(parse_replay_mode("interp").value(), ReplayMode::kInterp);
-  EXPECT_EQ(parse_replay_mode("compiled").value(), ReplayMode::kCompiled);
-  EXPECT_EQ(parse_replay_mode("auto").value(), ReplayMode::kCompiled);
-  EXPECT_FALSE(parse_replay_mode("").is_ok());
-  EXPECT_FALSE(parse_replay_mode("Interp").is_ok());
-  EXPECT_FALSE(parse_replay_mode("compiled ").is_ok());
-  const Result<ReplayMode> batched = parse_replay_mode("batched");
-  ASSERT_FALSE(batched.is_ok());
-  EXPECT_NE(batched.status().message().find("interp|compiled|auto"),
-            std::string::npos)
-      << batched.status().to_string();
-}
-
 // Compiled-table construction is pure: plans built concurrently from many
 // threads (any thread count) are identical table for table.
 TEST(CompiledTableTest, DeterministicAcrossThreadCounts) {
@@ -216,7 +202,8 @@ TEST(CompiledTableTest, DeterministicAcrossThreadCounts) {
 // The plan cache keys on CONTENT, not object addresses. Regression: the
 // ablate benches rebuild layouts per cell and the allocator recycles the
 // dead layout's address, so an address-keyed cache served a stale plan
-// (caught by the STC_VERIFY replay cross-check as diverging miss counts).
+// (caught by the STC_VERIFY cross-check as diverging miss counts; the feed
+// check, verify::check_plan_feed, catches the same class).
 // Mutating a layout in place — same address, new content — is the
 // deterministic version of that aliasing.
 TEST(ReplayPlanCacheTest, KeysOnContentNotAddress) {
@@ -226,20 +213,20 @@ TEST(ReplayPlanCacheTest, KeysOnContentNotAddress) {
   cfg::AddressMap layout = cfg::AddressMap::original(*image);
 
   ReplayPlanCache cache;
-  const ReplayPlan* before = cache.get(trace, *image, layout, 32);
+  const ReplayPlan* before = cache.get(trace, *image, layout, 32).value();
   ASSERT_NE(before, nullptr);
   const std::uint64_t addr0 = before->meta().addr(0);
 
   // Identical content at a different address must hit the same entry.
   const cfg::AddressMap copy = layout;
-  EXPECT_EQ(cache.get(trace, *image, copy, 32), before);
+  EXPECT_EQ(cache.get(trace, *image, copy, 32).value(), before);
 
   // Same address, shifted content: must be a fresh plan with the shifted
   // addresses, not the memoized stale one.
   for (cfg::BlockId b = 0; b < layout.size(); ++b) {
     layout.set(b, layout.addr(b) + 1024);
   }
-  const ReplayPlan* after = cache.get(trace, *image, layout, 32);
+  const ReplayPlan* after = cache.get(trace, *image, layout, 32).value();
   ASSERT_NE(after, nullptr);
   EXPECT_NE(after, before);
   EXPECT_EQ(after->meta().addr(0), addr0 + 1024);
@@ -254,8 +241,8 @@ TEST(ReplayPlanCacheTest, DistinctLineSizesGetDistinctPlans) {
   const cfg::AddressMap layout = cfg::AddressMap::original(*image);
 
   ReplayPlanCache cache;
-  const ReplayPlan* a = cache.get(trace, *image, layout, 32);
-  const ReplayPlan* b = cache.get(trace, *image, layout, 64);
+  const ReplayPlan* a = cache.get(trace, *image, layout, 32).value();
+  const ReplayPlan* b = cache.get(trace, *image, layout, 64).value();
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_NE(a, b);
@@ -279,9 +266,9 @@ TEST(ReplayPlanCacheTest, KeysOnBackendSpec) {
   spec_b.mem_latency += 2;
 
   ReplayPlanCache cache;
-  const ReplayPlan* none = cache.get(trace, *image, layout, 32);
-  const ReplayPlan* a = cache.get(trace, *image, layout, 32, spec_a);
-  const ReplayPlan* b = cache.get(trace, *image, layout, 32, spec_b);
+  const ReplayPlan* none = cache.get(trace, *image, layout, 32).value();
+  const ReplayPlan* a = cache.get(trace, *image, layout, 32, spec_a).value();
+  const ReplayPlan* b = cache.get(trace, *image, layout, 32, spec_b).value();
   ASSERT_NE(none, nullptr);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
@@ -293,13 +280,13 @@ TEST(ReplayPlanCacheTest, KeysOnBackendSpec) {
   EXPECT_EQ(a->backend().spec(), spec_a);
   EXPECT_EQ(b->backend().spec(), spec_b);
   // Repeat lookups hit their memoized entries.
-  EXPECT_EQ(cache.get(trace, *image, layout, 32, spec_a), a);
-  EXPECT_EQ(cache.get(trace, *image, layout, 32), none);
+  EXPECT_EQ(cache.get(trace, *image, layout, 32, spec_a).value(), a);
+  EXPECT_EQ(cache.get(trace, *image, layout, 32).value(), none);
 }
 
 // The compiled back-end tables agree entry for entry with the shared cost
-// helpers the interpreter uses — the identity the plan path's DCHECKs and
-// the replay-diff oracle rest on.
+// helpers — the identity verify::check_plan_feed re-proves from the image
+// and layout.
 TEST(CompiledTableTest, BackendTableMatchesCostHelpers) {
   Rng rng(8080);
   const auto image = testing::random_image(rng, 12);
@@ -331,9 +318,10 @@ TEST(CompiledTableTest, BackendTableMatchesCostHelpers) {
 }
 
 // Faultpoint replay.compile: a failed compiled-table build surfaces as a
-// structured error from build_replay_plan, and the plan cache converts it
-// into a clean interpreter fallback (nullptr), memoized.
-TEST(ReplayFaultTest, CompileFaultFallsBackToInterp) {
+// structured error from build_replay_plan, the plan cache returns that
+// error, and — because a failure is not cached — the next lookup rebuilds
+// and succeeds once the one-shot fault has fired.
+TEST(ReplayFaultTest, CompileFaultIsReturnedAndRetryRebuilds) {
   Rng rng(5050);
   const auto image = testing::random_image(rng, 10);
   const trace::BlockTrace trace = testing::random_trace(*image, rng, 500);
@@ -351,10 +339,19 @@ TEST(ReplayFaultTest, CompileFaultFallsBackToInterp) {
   fault::reset();
   fault::arm("replay.compile", 1);
   ReplayPlanCache cache;
-  EXPECT_EQ(cache.get(trace, *image, layout, 32), nullptr);
-  // The fallback is memoized: the next lookup must not rebuild (the fault
-  // fired once; a rebuild would now succeed and flip the answer mid-run).
-  EXPECT_EQ(cache.get(trace, *image, layout, 32), nullptr);
+  const Result<const ReplayPlan*> failed = cache.get(trace, *image, layout, 32);
+  ASSERT_FALSE(failed.is_ok());
+  EXPECT_NE(failed.status().to_string().find("replay.compile"),
+            std::string::npos)
+      << failed.status().to_string();
+  const Result<const ReplayPlan*> retried =
+      cache.get(trace, *image, layout, 32);
+  ASSERT_TRUE(retried.is_ok()) << retried.status().to_string();
+  ASSERT_NE(retried.value(), nullptr);
+  EXPECT_EQ(retried.value()->num_events(), trace.num_events());
+  // The rebuilt plan is memoized like any other.
+  EXPECT_EQ(cache.get(trace, *image, layout, 32).value(), retried.value());
+  EXPECT_EQ(fault::hits("replay.compile"), 2u);
   fault::reset();
 }
 

@@ -9,8 +9,10 @@
 #include "core/layouts.h"
 #include "sim/fetch_unit.h"
 #include "sim/icache.h"
+#include "sim/replay.h"
 #include "sim/trace_cache.h"
 #include "support/rng.h"
+#include "testing/plan.h"
 #include "testing/synthetic.h"
 #include "verify/oracle.h"
 
@@ -42,6 +44,8 @@ class SimPropertyTest : public ::testing::TestWithParam<PropertyInput> {
     trace = testing::random_trace(*image, rng, 20000);
     layout = std::make_unique<cfg::AddressMap>(core::make_layout(
         p.layout, wcfg, p.cache_bytes, p.cache_bytes / 4));
+    plan = std::make_unique<ReplayPlan>(
+        testing::make_plan(trace, *image, *layout, p.line_bytes));
     expected_insns = 0;
     trace.for_each(
         [&](cfg::BlockId b) { expected_insns += image->block(b).insns; });
@@ -51,13 +55,14 @@ class SimPropertyTest : public ::testing::TestWithParam<PropertyInput> {
   profile::WeightedCFG wcfg;
   trace::BlockTrace trace;
   std::unique_ptr<cfg::AddressMap> layout;
+  std::unique_ptr<ReplayPlan> plan;
   std::uint64_t expected_insns = 0;
 };
 
 TEST_P(SimPropertyTest, MissRateConservesInstructions) {
   const PropertyInput& p = GetParam();
   ICache cache({p.cache_bytes, p.line_bytes, 1});
-  const MissRateResult result = run_missrate(trace, *image, *layout, cache);
+  const MissRateResult result = replay_missrate(*plan, cache);
   EXPECT_EQ(result.instructions, expected_insns);
   EXPECT_LE(result.misses, result.line_accesses);
   EXPECT_EQ(result.line_accesses, cache.stats().accesses);
@@ -71,7 +76,7 @@ TEST_P(SimPropertyTest, Seq3ConservesInstructionsAndBoundsIpc) {
   const PropertyInput& p = GetParam();
   FetchParams params;
   ICache cache({p.cache_bytes, p.line_bytes, 1});
-  const FetchResult result = run_seq3(trace, *image, *layout, params, &cache);
+  const FetchResult result = run_seq3(*plan, params, &cache);
   EXPECT_EQ(result.instructions, expected_insns);
   EXPECT_GE(result.cycles, result.fetch_requests);
   EXPECT_LE(result.ipc(), static_cast<double>(params.width));
@@ -88,11 +93,10 @@ TEST_P(SimPropertyTest, PerfectCacheIsAnUpperBound) {
   const PropertyInput& p = GetParam();
   FetchParams realistic;
   ICache cache({p.cache_bytes, p.line_bytes, 1});
-  const double with_cache =
-      run_seq3(trace, *image, *layout, realistic, &cache).ipc();
+  const double with_cache = run_seq3(*plan, realistic, &cache).ipc();
   FetchParams perfect;
   perfect.perfect_icache = true;
-  const double ideal = run_seq3(trace, *image, *layout, perfect, nullptr).ipc();
+  const double ideal = run_seq3(*plan, perfect, nullptr).ipc();
   EXPECT_GE(ideal, with_cache);
 }
 
@@ -102,8 +106,7 @@ TEST_P(SimPropertyTest, TraceCacheConservesInstructions) {
   TraceCacheParams tc;
   tc.entries = 32;
   ICache cache({p.cache_bytes, p.line_bytes, 1});
-  const FetchResult result =
-      run_trace_cache(trace, *image, *layout, params, tc, &cache);
+  const FetchResult result = run_trace_cache(*plan, params, tc, &cache);
   EXPECT_EQ(result.instructions, expected_insns);
   EXPECT_EQ(result.tc_hits + result.tc_misses, result.fetch_requests);
   EXPECT_EQ(result.tc_probes, result.tc_hits + result.tc_misses);
@@ -121,9 +124,9 @@ TEST_P(SimPropertyTest, AssociativityNeverIncreasesMisses) {
   // not guaranteed in general. What IS an invariant: doubling capacity at
   // fixed associativity cannot increase misses for LRU (stack property).
   ICache small({p.cache_bytes, p.line_bytes, 1});
-  const auto small_result = run_missrate(trace, *image, *layout, small);
+  const auto small_result = replay_missrate(*plan, small);
   ICache big({p.cache_bytes * 2, p.line_bytes, 2});
-  const auto big_result = run_missrate(trace, *image, *layout, big);
+  const auto big_result = replay_missrate(*plan, big);
   // LRU stack property holds for fully/set-assoc growth that keeps every
   // set a superset; (2x capacity, 2x assoc) has identical sets with double
   // the ways -> misses cannot increase.

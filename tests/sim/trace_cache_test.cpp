@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "cfg/builder.h"
+#include "sim/replay.h"
+#include "testing/plan.h"
 
 namespace stc::sim {
 namespace {
@@ -48,12 +50,14 @@ TEST(TraceCacheTest, FillThenHitOnRepeatedPath) {
   TraceCacheParams tc;
   tc.entries = 16;
   const FetchResult result =
-      run_trace_cache(t, *f.image, f.layout, params, tc, nullptr);
+      run_trace_cache(testing::make_plan(t, *f.image, f.layout), params, tc,
+                      nullptr);
   EXPECT_GT(result.tc_hits, 0u);
   EXPECT_GT(result.tc_misses, 0u);
   // After warmup, the A->B trace (8 insns spanning a taken branch) is
   // supplied in one cycle; SEQ.3 alone needs two cycles per iteration.
-  const FetchResult seq = run_seq3(t, *f.image, f.layout, params, nullptr);
+  const FetchResult seq =
+      run_seq3(testing::make_plan(t, *f.image, f.layout), params, nullptr);
   EXPECT_GT(result.ipc(), seq.ipc());
 }
 
@@ -64,7 +68,8 @@ TEST(TraceCacheTest, TraceSpansTakenBranches) {
   params.perfect_icache = true;
   TraceCacheParams tc;
   const FetchResult result =
-      run_trace_cache(t, *f.image, f.layout, params, tc, nullptr);
+      run_trace_cache(testing::make_plan(t, *f.image, f.layout), params, tc,
+                      nullptr);
   // Steady state: one fetch per iteration (8 insns incl. the taken branch)
   // instead of two.
   EXPECT_GT(result.tc_hit_ratio(), 0.5);
@@ -83,7 +88,8 @@ TEST(TraceCacheTest, PathMismatchIsAMiss) {
   params.perfect_icache = true;
   TraceCacheParams tc;
   const FetchResult result =
-      run_trace_cache(t, *f.image, f.layout, params, tc, nullptr);
+      run_trace_cache(testing::make_plan(t, *f.image, f.layout), params, tc,
+                      nullptr);
   // The A-indexed entry keeps flipping between the two paths; perfect path
   // comparison at probe time forces a substantial miss rate (a steady
   // workload like loop_trace reaches ~100% hits instead).
@@ -101,9 +107,11 @@ TEST(TraceCacheTest, DirectMappedEntriesConflict) {
   TraceCacheParams big;
   big.entries = 64;
   const FetchResult small_result =
-      run_trace_cache(t, *f.image, f.layout, params, tiny, nullptr);
+      run_trace_cache(testing::make_plan(t, *f.image, f.layout), params, tiny,
+                      nullptr);
   const FetchResult big_result =
-      run_trace_cache(t, *f.image, f.layout, params, big, nullptr);
+      run_trace_cache(testing::make_plan(t, *f.image, f.layout), params, big,
+                      nullptr);
   EXPECT_LE(small_result.tc_hits, big_result.tc_hits);
 }
 
@@ -116,7 +124,8 @@ TEST(TraceCacheTest, MissPathChargesIcachePenalty) {
   TraceCacheParams tc;
   ICache cache({1024, 64, 1});
   const FetchResult result =
-      run_trace_cache(t, *f.image, f.layout, params, tc, &cache);
+      run_trace_cache(testing::make_plan(t, *f.image, f.layout), params, tc,
+                      &cache);
   EXPECT_EQ(result.tc_misses, 1u);
   EXPECT_EQ(result.cycles, 6u);  // 1 fetch + 5 penalty
 }
@@ -128,7 +137,8 @@ TEST(TraceCacheTest, HitSuppliesWholeTraceInOneCycle) {
   params.perfect_icache = true;
   TraceCacheParams tc;
   const FetchResult result =
-      run_trace_cache(t, *f.image, f.layout, params, tc, nullptr);
+      run_trace_cache(testing::make_plan(t, *f.image, f.layout), params, tc,
+                      nullptr);
   // 3 iterations x 8 insns = 24 instructions total.
   EXPECT_EQ(result.instructions, 24u);
   EXPECT_EQ(result.cycles, result.fetch_requests);
@@ -140,7 +150,8 @@ TEST(TraceCacheUnitTest, ProbeChecksTagAndPath) {
   trace::BlockTrace t;
   t.append(f.A);
   t.append(f.B);
-  FetchPipe pipe(t, *f.image, f.layout);
+  const ReplayPlan plan = testing::make_plan(t, *f.image, f.layout);
+  FetchPipe pipe(plan);
   // Nothing stored yet.
   EXPECT_EQ(tc.probe(pipe.addr(), pipe), 0u);
   // Fill a trace for address of A covering A then B.
@@ -156,7 +167,8 @@ TEST(TraceCacheUnitTest, ProbeChecksTagAndPath) {
   t2.append(f.A);
   t2.append(f.B);
   t2.append(f.C);
-  FetchPipe pipe2(t2, *f.image, f.layout);
+  const ReplayPlan plan2 = testing::make_plan(t2, *f.image, f.layout);
+  FetchPipe pipe2(plan2);
   // Existing fill continues; feed C's instructions (4 more, third branch).
   for (std::uint32_t k = 8; k < 12; ++k) {
     ASSERT_TRUE(pipe2.peek(k, insn));
@@ -170,7 +182,8 @@ TEST(TraceCacheUnitTest, ProbeChecksTagAndPath) {
   trace::BlockTrace t3;
   t3.append(f.A);
   t3.append(f.C);
-  FetchPipe pipe3(t3, *f.image, f.layout);
+  const ReplayPlan plan3 = testing::make_plan(t3, *f.image, f.layout);
+  FetchPipe pipe3(plan3);
   EXPECT_EQ(tc.probe(pipe3.addr(), pipe3), 0u);
 }
 

@@ -142,24 +142,6 @@ TEST(EnvTest, BpredNamesTheAcceptedSet) {
             std::string::npos);
 }
 
-TEST(EnvTest, ReplayNamesTheAcceptedSet) {
-  {
-    ScopedEnv guard("STC_REPLAY", nullptr);
-    EXPECT_EQ(replay().value(), "auto");  // unset → engine picks
-  }
-  for (const char* good : {"interp", "compiled", "auto"}) {
-    ScopedEnv guard("STC_REPLAY", good);
-    EXPECT_EQ(replay().value(), good);
-  }
-  for (const char* bad : {"jit", "Interp", "compiled ", "", "batched"}) {
-    ScopedEnv guard("STC_REPLAY", bad);
-    const auto r = replay();
-    expect_knob_error(r, "STC_REPLAY", bad);
-    EXPECT_NE(r.status().message().find("interp|compiled|auto"),
-              std::string::npos);
-  }
-}
-
 TEST(EnvTest, BackendNamesTheAcceptedSet) {
   {
     ScopedEnv guard("STC_BACKEND", nullptr);
@@ -219,13 +201,6 @@ TEST(EnvTest, ValidateAllChecksBackendKnobs) {
   const Status s = validate_all();
   ASSERT_FALSE(s.is_ok());
   EXPECT_NE(s.message().find("STC_ROB_DEPTH"), std::string::npos);
-}
-
-TEST(EnvTest, ValidateAllChecksReplay) {
-  ScopedEnv guard("STC_REPLAY", "jit");
-  const Status s = validate_all();
-  ASSERT_FALSE(s.is_ok());
-  EXPECT_NE(s.message().find("STC_REPLAY"), std::string::npos);
 }
 
 TEST(EnvTest, FtqDepthBounded) {

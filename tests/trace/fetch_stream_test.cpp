@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cfg/builder.h"
+#include "verify/reference.h"
 
 namespace stc::trace {
 namespace {
@@ -94,7 +95,8 @@ TEST(SequentialityTest, CountsInstructionsAndTakenBranches) {
   t.append(f.A);
   t.append(f.B);
   const auto layout = cfg::AddressMap::original(*f.image);
-  const SequentialityStats stats = measure_sequentiality(t, *f.image, layout);
+  const SequentialityStats stats =
+      verify::reference_sequentiality(t, *f.image, layout);
   EXPECT_EQ(stats.instructions, 12u);
   EXPECT_EQ(stats.dynamic_blocks, 4u);
   EXPECT_EQ(stats.taken_transitions, 1u);  // only B -> A
@@ -107,7 +109,8 @@ TEST(SequentialityTest, NoTakenBranchesMeansFullLength) {
   t.append(f.A);
   t.append(f.B);
   const auto layout = cfg::AddressMap::original(*f.image);
-  const SequentialityStats stats = measure_sequentiality(t, *f.image, layout);
+  const SequentialityStats stats =
+      verify::reference_sequentiality(t, *f.image, layout);
   EXPECT_EQ(stats.taken_transitions, 0u);
   EXPECT_DOUBLE_EQ(stats.insns_between_taken_branches(), 6.0);
 }
@@ -124,8 +127,8 @@ TEST(SequentialityTest, LayoutImprovesMetric) {
   packed.set(f.A, 0);
   packed.set(f.C, 16);
   packed.set(f.B, 64);
-  const auto before = measure_sequentiality(t, *f.image, orig);
-  const auto after = measure_sequentiality(t, *f.image, packed);
+  const auto before = verify::reference_sequentiality(t, *f.image, orig);
+  const auto after = verify::reference_sequentiality(t, *f.image, packed);
   EXPECT_GT(after.insns_between_taken_branches(),
             before.insns_between_taken_branches());
 }

@@ -20,9 +20,11 @@
 #include "frontend/front_end.h"
 #include "sim/fetch_unit.h"
 #include "sim/icache.h"
+#include "sim/replay.h"
 #include "support/experiment.h"
 #include "support/json_read.h"
 #include "testing/golden_compare.h"
+#include "testing/plan.h"
 
 #ifndef STC_VERIFY_TEST_DIR
 #define STC_VERIFY_TEST_DIR "."
@@ -63,6 +65,7 @@ std::string build_report() {
   const auto image = mini_image();
   const auto layout = cfg::AddressMap::original(*image);
   const auto trace = mini_trace();
+  const sim::ReplayPlan plan = testing::make_plan(trace, *image, layout);
   const sim::CacheGeometry geometry{1024, 32, 1};
   const sim::FetchParams params;
 
@@ -81,8 +84,7 @@ std::string build_report() {
              {{"bpred", "perfect"}, {"layout", "orig"}, {"cache", "1024"}},
              [&] {
                sim::ICache cache(geometry);
-               const sim::FetchResult sim =
-                   sim::run_seq3(trace, *image, layout, params, &cache);
+               const sim::FetchResult sim = sim::run_seq3(plan, params, &cache);
                ExperimentResult r;
                r.metric("ipc", sim.ipc());
                sim.export_counters(r.counters());
@@ -97,8 +99,8 @@ std::string build_report() {
                fe.kind = frontend::BpredKind::kGshare;
                fe.prefetch = true;
                sim::ICache cache(geometry);
-               const frontend::FrontEndResult sim = frontend::run_seq3_frontend(
-                   trace, *image, layout, params, fe, &cache);
+               const frontend::FrontEndResult sim =
+                   frontend::run_seq3_frontend(plan, params, fe, &cache);
                ExperimentResult r;
                r.metric("ipc", sim.fetch.ipc());
                r.metric("mpki",

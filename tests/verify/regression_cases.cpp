@@ -212,7 +212,7 @@ TEST(FuzzRegression, DeepCallReturnAndIndirectDispatcher) {
 // Back-end replay-diff corpus: run_replay_diff derives the machine shape
 // from the case content (salt = blocks*7 + events*5 + line_bytes), so these
 // two cases pin one in-order (odd salt) and one out-of-order (even salt)
-// configuration through the interp/compiled differential check.
+// configuration through the replay differential check.
 // Call/return-heavy so every op pays the memory-latency charge and the
 // tiny derived window actually back-pressures the front end.
 TEST(FuzzRegression, ReplayDiffInOrderCallChain) {
@@ -343,8 +343,8 @@ TEST(FuzzRegression, TraceBytesV3IndexFooterMutations) {
 
 // Pins an odd-length trace as a plain tail case: 61 events (20 loop trips of
 // three blocks, then the exit) that end on a return, not on a loop boundary.
-// The compiled engine must agree with the interpreter bit for bit through
-// the last event. Salt 4*7 + 61*5 + 32 = 365 (odd): in-order back end.
+// The plan's kernels and feed must agree with the references bit for bit
+// through the last event. Salt 4*7 + 61*5 + 32 = 365 (odd): in-order back end.
 TEST(FuzzRegression, ReplayDiffSimdTailOddLength) {
   stc::verify::FuzzCase c;
   c.cache_bytes = 1024;

@@ -1,13 +1,15 @@
 // Locks the BENCH_replay_throughput.json report schema against a checked-in
 // golden file.
 //
-// The real bench grids simulator x replay-mode over the pinned Test trace;
-// this lock rebuilds the same report shape deterministically from a small
-// synthetic program, driving the exact measurement cell the bench uses
-// (bench::measure_replay_cell): every cell carries events_per_sec and
-// seconds, plan-backed cells add plan_seconds, and the counters are the
-// simulator's real export including the "blocks" event count that schema
-// v3's throughput.events_per_sec is derived from. tools/perf_gate.py parses
+// The real bench grids simulators over the pinned Test trace, each with a
+// compiled row and — for the kernels that have an oracle reference — an
+// interp row; this lock rebuilds the same report shape deterministically
+// from a small synthetic program, driving the exact measurement cells the
+// bench uses (bench::measure_reference_cell, bench::measure_replay_cell):
+// every cell carries events_per_sec and seconds, compiled cells add
+// plan_seconds, and the counters are the simulator's real export including
+// the "blocks" event count that schema v3's throughput.events_per_sec is
+// derived from. tools/perf_gate.py parses
 // this schema — a change here is a perf-gate-visible change. Regenerate with
 //   STC_UPDATE_GOLDEN=1 ./build/tests/stc_verify_test \
 //       --gtest_filter=ReplaySchemaTest.*
@@ -62,8 +64,8 @@ trace::BlockTrace mini_trace() {
   return trace;
 }
 
-// The bench's grid (simulator x mode), rebuilt on the mini program with the
-// same runner name, params and single-worker run.
+// The bench's grid, rebuilt on the mini program with the same runner name,
+// params and single-worker run.
 std::string build_report() {
   const auto image = mini_image();
   const auto layout = cfg::AddressMap::original(*image);
@@ -76,22 +78,25 @@ std::string build_report() {
   runner.record_phase("workload", 0.25);
   runner.record_phase("layouts", 0.125);
 
-  const sim::ReplayMode modes[] = {sim::ReplayMode::kInterp,
-                                   sim::ReplayMode::kCompiled};
   const bench::ReplaySimKind kinds[] = {bench::ReplaySimKind::kMissRate,
                                         bench::ReplaySimKind::kSequentiality,
                                         bench::ReplaySimKind::kSeq3,
                                         bench::ReplaySimKind::kTraceCache};
   for (const bench::ReplaySimKind kind : kinds) {
-    for (const sim::ReplayMode mode : modes) {
-      runner.add(
-          std::string(bench::to_string(kind)) + " " + sim::to_string(mode),
-          {{"sim", bench::to_string(kind)}, {"mode", sim::to_string(mode)}},
-          [&, kind, mode] {
-            return bench::measure_replay_cell(trace, *image, layout, geometry,
-                                              kind, mode);
-          });
+    const std::string sim = bench::to_string(kind);
+    if (kind == bench::ReplaySimKind::kMissRate ||
+        kind == bench::ReplaySimKind::kSequentiality) {
+      runner.add(sim + " interp", {{"sim", sim}, {"mode", "interp"}},
+                 [&, kind] {
+                   return bench::measure_reference_cell(trace, *image, layout,
+                                                        geometry, kind);
+                 });
     }
+    runner.add(sim + " compiled", {{"sim", sim}, {"mode", "compiled"}},
+               [&, kind] {
+                 return bench::measure_replay_cell(trace, *image, layout,
+                                                   geometry, kind);
+               });
   }
   runner.run(1);
   return runner.report_json();
@@ -118,9 +123,10 @@ TEST(ReplaySchemaTest, ReportMatchesGoldenFile) {
 }
 
 // The contract tools/perf_gate.py depends on, independent of golden bytes:
-// schema v3 with a mandatory throughput.events_per_sec, eight clean cells,
-// each carrying sim/mode params and an events_per_sec metric, plan-backed
-// cells adding plan_seconds.
+// schema v3 with a mandatory throughput.events_per_sec, six clean cells
+// (interp and compiled missrate and sequentiality, compiled seq3 and
+// trace_cache), each carrying sim/mode params and an events_per_sec metric,
+// compiled cells adding plan_seconds.
 TEST(ReplaySchemaTest, PerfGateContractHolds) {
   std::string err;
   const JsonValue report = parse_json(build_report(), &err);
@@ -135,7 +141,7 @@ TEST(ReplaySchemaTest, PerfGateContractHolds) {
 
   const JsonValue* results = report.find("results");
   ASSERT_TRUE(results != nullptr && results->is_array());
-  ASSERT_EQ(results->items.size(), 8u);
+  ASSERT_EQ(results->items.size(), 6u);
   for (const JsonValue& cell : results->items) {
     const JsonValue* params = cell.find("params");
     const JsonValue* metrics = cell.find("metrics");

@@ -13,16 +13,18 @@
 // paste-ready regression test snippet, and the process exits 1. A clean run
 // exits 0.
 //
-// --replay-diff swaps the oracle for the replay-mode differential check:
-// every generated case is replayed through the interp and compiled engines
-// (sim/replay.h) over every layout kind, and any counter divergence is
-// shrunk to a paste-ready regression snippet. Exit codes as above.
+// --replay-diff swaps the oracle for the replay differential check
+// (verify::check_replay_modes): over every layout kind, each generated
+// case's plan (sim/replay.h) must match the oracle's references kernel for
+// kernel and feed for feed, and every simulator must hold its counter
+// identities; any divergence is shrunk to a paste-ready regression snippet.
+// Exit codes as above.
 //
 // --multitenant swaps in the multi-tenant composer differential check
 // (verify::run_multitenant_diff): each case's trace is split into a
 // salt-derived number of tenant streams, composed under a salt-derived
 // quantum/arrival model, and checked for determinism, conservation,
-// single-tenant byte-identity, cross-engine replay bit-identity, and the
+// single-tenant byte-identity, the replay differential, and the
 // tenant-partitioned CFA contract. Failures shrink as in the other modes.
 //
 // --inject short-block corrupts every produced layout with an emulated
