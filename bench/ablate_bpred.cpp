@@ -78,7 +78,8 @@ int main() {
              {"layout", l.name},
              {"cache", std::to_string(cache)}},
             [&setup, &layout, dm, fe] {
-              return bench::measure_seq3_bpred(setup, layout, dm, fe);
+              return bench::measure_seq3(setup, layout, dm, /*perfect=*/false,
+                                         fe);
             }));
       }
     }

@@ -303,68 +303,6 @@ ExperimentResult measure_tenant_miss(const workload::ComposedTrace& composed,
   return result;
 }
 
-namespace {
-
-// Baseline (perfect-prediction) cells: the exact code paths the paper's
-// tables are measured with. measure_seq3/measure_tc dispatch here unless
-// STC_BPRED selects a realistic predictor.
-ExperimentResult measure_seq3_plain(const trace::BlockTrace& trace,
-                                    const cfg::ProgramImage& image,
-                                    const cfg::AddressMap& layout,
-                                    const sim::CacheGeometry& geometry,
-                                    bool perfect) {
-  if (verify_enabled()) verify_triple(trace, image, layout);
-  const sim::ReplayPlan& plan =
-      fetch_plan(trace, image, layout, geometry.line_bytes);
-  sim::FetchParams params;
-  params.perfect_icache = perfect;
-  sim::ICache cache(geometry);
-  const auto sim = sim::run_seq3(plan, params, perfect ? nullptr : &cache);
-  if (verify_enabled()) {
-    require_clean(verify::check_fetch_result(
-                      sim, params, verify::trace_instructions(trace, image),
-                      /*with_trace_cache=*/false),
-                  "seq3 counters");
-  }
-  ExperimentResult result;
-  result.metric("ipc", sim.ipc());
-  sim.export_counters(result.counters());
-  if (!perfect) cache.stats().export_counters(result.counters());
-  result.counters().add("blocks", trace.num_events());
-  return result;
-}
-
-ExperimentResult measure_tc_plain(const trace::BlockTrace& trace,
-                                  const cfg::ProgramImage& image,
-                                  const cfg::AddressMap& layout,
-                                  const sim::CacheGeometry& geometry,
-                                  const sim::TraceCacheParams& tc,
-                                  bool perfect) {
-  if (verify_enabled()) verify_triple(trace, image, layout);
-  const sim::ReplayPlan& plan =
-      fetch_plan(trace, image, layout, geometry.line_bytes);
-  sim::FetchParams params;
-  params.perfect_icache = perfect;
-  sim::ICache cache(geometry);
-  const auto sim =
-      sim::run_trace_cache(plan, params, tc, perfect ? nullptr : &cache);
-  if (verify_enabled()) {
-    require_clean(verify::check_fetch_result(
-                      sim, params, verify::trace_instructions(trace, image),
-                      /*with_trace_cache=*/true),
-                  "trace-cache counters");
-  }
-  ExperimentResult result;
-  result.metric("ipc", sim.ipc());
-  result.metric("tc_hit_pct", 100.0 * sim.tc_hit_ratio());
-  sim.export_counters(result.counters());
-  if (!perfect) cache.stats().export_counters(result.counters());
-  result.counters().add("blocks", trace.num_events());
-  return result;
-}
-
-}  // namespace
-
 const frontend::FrontEndParams& frontend_params() {
   static const frontend::FrontEndParams params =
       frontend::FrontEndParams::from_environment();
@@ -549,103 +487,70 @@ ExperimentResult measure_reference_cell(const trace::BlockTrace& trace,
   return result;
 }
 
+namespace {
+
+// One SEQ.3 (tc == nullptr) or trace-cache cell behind the front end `fe`.
+ExperimentResult measure_fetch(const trace::BlockTrace& trace,
+                               const cfg::ProgramImage& image,
+                               const cfg::AddressMap& layout,
+                               const sim::CacheGeometry& geometry,
+                               const sim::TraceCacheParams* tc, bool perfect,
+                               const frontend::FrontEndParams& fe) {
+  if (verify_enabled()) verify_triple(trace, image, layout);
+  const sim::ReplayPlan& plan =
+      fetch_plan(trace, image, layout, geometry.line_bytes);
+  sim::FetchParams params;
+  params.perfect_icache = perfect;
+  sim::ICache cache(geometry);
+  sim::ICache* const icache = perfect ? nullptr : &cache;
+  const frontend::FrontEndResult sim =
+      tc != nullptr
+          ? frontend::run_trace_cache_frontend(plan, params, *tc, fe, icache)
+          : frontend::run_seq3_frontend(plan, params, fe, icache);
+  if (verify_enabled()) {
+    require_clean(verify::check_frontend_result(
+                      sim, params, fe, verify::trace_instructions(trace, image),
+                      /*with_trace_cache=*/tc != nullptr),
+                  tc != nullptr ? "trace-cache counters" : "seq3 counters");
+  }
+  ExperimentResult result;
+  result.metric("ipc", sim.fetch.ipc());
+  if (tc != nullptr) {
+    result.metric("tc_hit_pct", 100.0 * sim.fetch.tc_hit_ratio());
+  }
+  if (!fe.transparent()) {
+    result.metric("mpki",
+                  sim.frontend.mispredicts_per_ki(sim.fetch.instructions));
+  }
+  sim.fetch.export_counters(result.counters());
+  if (!fe.transparent()) sim.frontend.export_counters(result.counters());
+  if (!perfect) cache.stats().export_counters(result.counters());
+  result.counters().add("blocks", trace.num_events());
+  return result;
+}
+
+}  // namespace
+
 ExperimentResult measure_seq3(const trace::BlockTrace& trace,
                               const cfg::ProgramImage& image,
                               const cfg::AddressMap& layout,
-                              const sim::CacheGeometry& geometry,
-                              bool perfect) {
-  const frontend::FrontEndParams& fe = frontend_params();
+                              const sim::CacheGeometry& geometry, bool perfect,
+                              const frontend::FrontEndParams& fe) {
   const backend::BackendParams& bp = backend_params();
   if (!bp.off()) {
     return measure_seq3_backend(trace, image, layout, geometry, fe, bp,
                                 perfect);
   }
-  if (fe.transparent()) {
-    return measure_seq3_plain(trace, image, layout, geometry, perfect);
-  }
-  return measure_seq3_bpred(trace, image, layout, geometry, fe, perfect);
+  return measure_fetch(trace, image, layout, geometry, nullptr, perfect, fe);
 }
 
 ExperimentResult measure_tc(const trace::BlockTrace& trace,
                             const cfg::ProgramImage& image,
                             const cfg::AddressMap& layout,
                             const sim::CacheGeometry& geometry,
-                            const sim::TraceCacheParams& tc, bool perfect) {
-  const frontend::FrontEndParams& fe = frontend_params();
-  if (fe.transparent()) {
-    return measure_tc_plain(trace, image, layout, geometry, tc, perfect);
-  }
-  return measure_tc_bpred(trace, image, layout, geometry, tc, fe, perfect);
-}
-
-ExperimentResult measure_seq3_bpred(const trace::BlockTrace& trace,
-                                    const cfg::ProgramImage& image,
-                                    const cfg::AddressMap& layout,
-                                    const sim::CacheGeometry& geometry,
-                                    const frontend::FrontEndParams& fe,
-                                    bool perfect) {
-  if (fe.transparent()) {
-    return measure_seq3_plain(trace, image, layout, geometry, perfect);
-  }
-  if (verify_enabled()) verify_triple(trace, image, layout);
-  const sim::ReplayPlan& plan =
-      fetch_plan(trace, image, layout, geometry.line_bytes);
-  sim::FetchParams params;
-  params.perfect_icache = perfect;
-  sim::ICache cache(geometry);
-  const auto sim = frontend::run_seq3_frontend(plan, params, fe,
-                                               perfect ? nullptr : &cache);
-  if (verify_enabled()) {
-    require_clean(verify::check_frontend_result(
-                      sim, params, fe,
-                      verify::trace_instructions(trace, image),
-                      /*with_trace_cache=*/false),
-                  "front-end seq3 counters");
-  }
-  ExperimentResult result;
-  result.metric("ipc", sim.fetch.ipc());
-  result.metric("mpki", sim.frontend.mispredicts_per_ki(sim.fetch.instructions));
-  sim.fetch.export_counters(result.counters());
-  sim.frontend.export_counters(result.counters());
-  if (!perfect) cache.stats().export_counters(result.counters());
-  result.counters().add("blocks", trace.num_events());
-  return result;
-}
-
-ExperimentResult measure_tc_bpred(const trace::BlockTrace& trace,
-                                  const cfg::ProgramImage& image,
-                                  const cfg::AddressMap& layout,
-                                  const sim::CacheGeometry& geometry,
-                                  const sim::TraceCacheParams& tc,
-                                  const frontend::FrontEndParams& fe,
-                                  bool perfect) {
-  if (fe.transparent()) {
-    return measure_tc_plain(trace, image, layout, geometry, tc, perfect);
-  }
-  if (verify_enabled()) verify_triple(trace, image, layout);
-  const sim::ReplayPlan& plan =
-      fetch_plan(trace, image, layout, geometry.line_bytes);
-  sim::FetchParams params;
-  params.perfect_icache = perfect;
-  sim::ICache cache(geometry);
-  const auto sim = frontend::run_trace_cache_frontend(
-      plan, params, tc, fe, perfect ? nullptr : &cache);
-  if (verify_enabled()) {
-    require_clean(verify::check_frontend_result(
-                      sim, params, fe,
-                      verify::trace_instructions(trace, image),
-                      /*with_trace_cache=*/true),
-                  "front-end trace-cache counters");
-  }
-  ExperimentResult result;
-  result.metric("ipc", sim.fetch.ipc());
-  result.metric("tc_hit_pct", 100.0 * sim.fetch.tc_hit_ratio());
-  result.metric("mpki", sim.frontend.mispredicts_per_ki(sim.fetch.instructions));
-  sim.fetch.export_counters(result.counters());
-  sim.frontend.export_counters(result.counters());
-  if (!perfect) cache.stats().export_counters(result.counters());
-  result.counters().add("blocks", trace.num_events());
-  return result;
+                            const sim::TraceCacheParams& tc, bool perfect,
+                            const frontend::FrontEndParams& fe) {
+  return measure_fetch(trace, image, layout, geometry, &tc, perfect, fe);
 }
 
 ExperimentResult measure_seq3_backend(const trace::BlockTrace& trace,
@@ -718,38 +623,22 @@ ExperimentResult measure_miss(Setup& setup, const cfg::AddressMap& layout,
 }
 
 ExperimentResult measure_seq3(Setup& setup, const cfg::AddressMap& layout,
-                              const sim::CacheGeometry& geometry,
-                              bool perfect) {
+                              const sim::CacheGeometry& geometry, bool perfect,
+                              const frontend::FrontEndParams& fe) {
   return measure_seq3(setup.test_trace(), setup.image(), layout, geometry,
-                      perfect);
+                      perfect, fe);
 }
 
 ExperimentResult measure_tc(Setup& setup, const cfg::AddressMap& layout,
                             const sim::CacheGeometry& geometry,
-                            const sim::TraceCacheParams& tc, bool perfect) {
+                            const sim::TraceCacheParams& tc, bool perfect,
+                            const frontend::FrontEndParams& fe) {
   return measure_tc(setup.test_trace(), setup.image(), layout, geometry, tc,
-                    perfect);
+                    perfect, fe);
 }
 
 ExperimentResult measure_seq(Setup& setup, const cfg::AddressMap& layout) {
   return measure_seq(setup.test_trace(), setup.image(), layout);
-}
-
-ExperimentResult measure_seq3_bpred(Setup& setup, const cfg::AddressMap& layout,
-                                    const sim::CacheGeometry& geometry,
-                                    const frontend::FrontEndParams& fe,
-                                    bool perfect) {
-  return measure_seq3_bpred(setup.test_trace(), setup.image(), layout,
-                            geometry, fe, perfect);
-}
-
-ExperimentResult measure_tc_bpred(Setup& setup, const cfg::AddressMap& layout,
-                                  const sim::CacheGeometry& geometry,
-                                  const sim::TraceCacheParams& tc,
-                                  const frontend::FrontEndParams& fe,
-                                  bool perfect) {
-  return measure_tc_bpred(setup.test_trace(), setup.image(), layout, geometry,
-                          tc, fe, perfect);
 }
 
 ExperimentResult measure_seq3_backend(Setup& setup,

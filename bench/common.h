@@ -15,9 +15,9 @@
 //                   oracle's references, and each fetch-family plan's feed
 //                   is checked once (verify::check_plan_feed)
 //   STC_BPRED     - front-end predictor (perfect|always|bimodal|gshare|
-//                   local; default perfect). A realistic kind routes every
-//                   SEQ.3/trace-cache cell through the speculative front end
-//                   (src/frontend) with FDIP prefetching enabled
+//                   local; default perfect) of every SEQ.3/trace-cache
+//                   cell (src/frontend). A realistic kind also enables
+//                   FDIP prefetching
 //   STC_FTQ_DEPTH - fetch-target queue depth in lines (default 8);
 //                   0 disables prefetching
 //   STC_JOB_TIMEOUT - per-job deadline in seconds (default 0 = off); an
@@ -151,60 +151,49 @@ class Setup {
 //
 // Each returns the cell's headline metric(s) plus the simulator's raw
 // counters, ready to hand to ExperimentRunner jobs. Metric names:
-//   measure_miss        -> "miss_pct"            (Table 3 metric)
-//   measure_seq3        -> "ipc"                 (Table 4 metric)
-//   measure_tc          -> "ipc", "tc_hit_pct"
-//   measure_seq         -> "insn_per_taken"      (sequentiality headline)
-//   measure_seq3_bpred  -> "ipc", "mpki"         (speculative front end)
-//   measure_tc_bpred    -> "ipc", "tc_hit_pct", "mpki"
-//   measure_seq3_backend-> "ipc" [, "mpki"]      (full execute pipeline)
+//   measure_miss        -> "miss_pct"                   (Table 3 metric)
+//   measure_seq3        -> "ipc" [, "mpki"]             (Table 4 metric)
+//   measure_tc          -> "ipc", "tc_hit_pct" [, "mpki"]
+//   measure_seq         -> "insn_per_taken"             (sequentiality headline)
+//   measure_seq3_backend-> "ipc" [, "mpki"]             (full execute pipeline)
 // The generic overloads take any (trace, image, layout); the Setup overloads
 // use the Test trace and kernel image.
 //
-// measure_seq3/measure_tc honor STC_BPRED (see frontend_params): a realistic
-// predictor routes them through the speculative front end; the default
-// (perfect) takes the exact baseline code path, keeping Table 3/4 outputs
-// byte-identical. A *transparent* FrontEndParams handed to the _bpred cells
-// likewise delegates to the baseline simulators, so their fetch counters
-// equal the plain cells' and the front-end counters are all zero.
+// measure_seq3/measure_tc run SEQ.3 or the trace cache behind the front end
+// `fe` (default: STC_BPRED, see frontend_params). "mpki" and the front-end
+// counters appear only when fe is not transparent(), so the default
+// (perfect) cells keep the exact Table 3/4 schema.
 //
 // measure_seq3 additionally honors STC_BACKEND (see backend_params): with a
 // non-off kind it routes through measure_seq3_backend, whose "ipc" is
-// retired instructions per unified-pipeline cycle. "mpki" appears only when
-// the front end is realistic (non-transparent), matching the _bpred cells.
+// retired instructions per unified-pipeline cycle.
+
+// The process-wide front-end configuration from STC_BPRED/STC_FTQ_DEPTH
+// (read once). transparent() for the default environment.
+const frontend::FrontEndParams& frontend_params();
+
+// The process-wide back-end configuration from STC_BACKEND/STC_IQ_DEPTH/
+// STC_ROB_DEPTH (read once). off() for the default environment.
+const backend::BackendParams& backend_params();
 
 ExperimentResult measure_miss(const trace::BlockTrace& trace,
                               const cfg::ProgramImage& image,
                               const cfg::AddressMap& layout,
                               const sim::CacheGeometry& geometry,
                               std::uint32_t victim_lines = 0);
-ExperimentResult measure_seq3(const trace::BlockTrace& trace,
-                              const cfg::ProgramImage& image,
-                              const cfg::AddressMap& layout,
-                              const sim::CacheGeometry& geometry,
-                              bool perfect = false);
-ExperimentResult measure_tc(const trace::BlockTrace& trace,
-                            const cfg::ProgramImage& image,
-                            const cfg::AddressMap& layout,
-                            const sim::CacheGeometry& geometry,
-                            const sim::TraceCacheParams& tc,
-                            bool perfect = false);
+ExperimentResult measure_seq3(
+    const trace::BlockTrace& trace, const cfg::ProgramImage& image,
+    const cfg::AddressMap& layout, const sim::CacheGeometry& geometry,
+    bool perfect = false,
+    const frontend::FrontEndParams& fe = frontend_params());
+ExperimentResult measure_tc(
+    const trace::BlockTrace& trace, const cfg::ProgramImage& image,
+    const cfg::AddressMap& layout, const sim::CacheGeometry& geometry,
+    const sim::TraceCacheParams& tc, bool perfect = false,
+    const frontend::FrontEndParams& fe = frontend_params());
 ExperimentResult measure_seq(const trace::BlockTrace& trace,
                              const cfg::ProgramImage& image,
                              const cfg::AddressMap& layout);
-ExperimentResult measure_seq3_bpred(const trace::BlockTrace& trace,
-                                    const cfg::ProgramImage& image,
-                                    const cfg::AddressMap& layout,
-                                    const sim::CacheGeometry& geometry,
-                                    const frontend::FrontEndParams& fe,
-                                    bool perfect = false);
-ExperimentResult measure_tc_bpred(const trace::BlockTrace& trace,
-                                  const cfg::ProgramImage& image,
-                                  const cfg::AddressMap& layout,
-                                  const sim::CacheGeometry& geometry,
-                                  const sim::TraceCacheParams& tc,
-                                  const frontend::FrontEndParams& fe,
-                                  bool perfect = false);
 ExperimentResult measure_seq3_backend(const trace::BlockTrace& trace,
                                       const cfg::ProgramImage& image,
                                       const cfg::AddressMap& layout,
@@ -229,37 +218,22 @@ ExperimentResult measure_tenant_miss(const workload::ComposedTrace& composed,
 ExperimentResult measure_miss(Setup& setup, const cfg::AddressMap& layout,
                               const sim::CacheGeometry& geometry,
                               std::uint32_t victim_lines = 0);
-ExperimentResult measure_seq3(Setup& setup, const cfg::AddressMap& layout,
-                              const sim::CacheGeometry& geometry,
-                              bool perfect = false);
-ExperimentResult measure_tc(Setup& setup, const cfg::AddressMap& layout,
-                            const sim::CacheGeometry& geometry,
-                            const sim::TraceCacheParams& tc,
-                            bool perfect = false);
+ExperimentResult measure_seq3(
+    Setup& setup, const cfg::AddressMap& layout,
+    const sim::CacheGeometry& geometry, bool perfect = false,
+    const frontend::FrontEndParams& fe = frontend_params());
+ExperimentResult measure_tc(
+    Setup& setup, const cfg::AddressMap& layout,
+    const sim::CacheGeometry& geometry, const sim::TraceCacheParams& tc,
+    bool perfect = false,
+    const frontend::FrontEndParams& fe = frontend_params());
 ExperimentResult measure_seq(Setup& setup, const cfg::AddressMap& layout);
-ExperimentResult measure_seq3_bpred(Setup& setup, const cfg::AddressMap& layout,
-                                    const sim::CacheGeometry& geometry,
-                                    const frontend::FrontEndParams& fe,
-                                    bool perfect = false);
-ExperimentResult measure_tc_bpred(Setup& setup, const cfg::AddressMap& layout,
-                                  const sim::CacheGeometry& geometry,
-                                  const sim::TraceCacheParams& tc,
-                                  const frontend::FrontEndParams& fe,
-                                  bool perfect = false);
 ExperimentResult measure_seq3_backend(Setup& setup,
                                       const cfg::AddressMap& layout,
                                       const sim::CacheGeometry& geometry,
                                       const frontend::FrontEndParams& fe,
                                       const backend::BackendParams& bp,
                                       bool perfect = false);
-
-// The process-wide front-end configuration from STC_BPRED/STC_FTQ_DEPTH
-// (read once). transparent() for the default environment.
-const frontend::FrontEndParams& frontend_params();
-
-// The process-wide back-end configuration from STC_BACKEND/STC_IQ_DEPTH/
-// STC_ROB_DEPTH (read once). off() for the default environment.
-const backend::BackendParams& backend_params();
 
 // ---- Replay engine ---------------------------------------------------------
 

@@ -61,10 +61,7 @@ Result<BackendResult> run_seq3_backend(const sim::ReplayPlan& plan,
   STC_DCHECK(plan.backend().spec() == backend_params.spec());
   FetchPipe pipe(plan);
   OpSource source(plan);
-  STC_REQUIRE(fetch_params.perfect_icache || cache != nullptr);
-  if (cache != nullptr) cache->reset();
-  const std::uint32_t line_bytes =
-      cache != nullptr ? cache->geometry().line_bytes : 64;
+  const std::uint32_t line_bytes = sim::begin_fetch_run(fetch_params, cache);
 
   BackendResult result;
   frontend::Engine eng(fetch_params, fe_params, cache, line_bytes,
@@ -85,19 +82,8 @@ Result<BackendResult> run_seq3_backend(const sim::ReplayPlan& plan,
 
     if (!pipe.done() && now >= fetch_ready) {
       if (fifo.size() < backend_params.fetch_buffer_ops) {
-        group.insns.clear();
-        const sim::Seq3Cycle cycle =
-            seq3_fetch_cycle(pipe, fetch_params, line_bytes, &group);
-        result.fetch.instructions += cycle.supplied;
-        ++result.fetch.fetch_requests;
-        std::uint64_t stall = 0;
-        if (!fetch_params.perfect_icache) {
-          stall = frontend::charge_icache(eng, cycle, fetch_params,
-                                          line_bytes, now, &result.fetch,
-                                          &result.frontend);
-        }
-        eng.advance(cycle.supplied);
-        stall += eng.resolve(group.insns, group.has_next, group.next_addr);
+        const std::uint64_t stall = sim::seq3_request(
+            pipe, fetch_params, line_bytes, now, eng, &group, &result.fetch);
         fetch_ready = now + 1 + stall;
         eng.run_ahead(pipe, fetch_ready);
         for (const FetchPipe::Insn& insn : group.insns) {

@@ -37,10 +37,12 @@ struct BackendResult {
   double ipc() const { return backend.ipc(); }
 };
 
-// Runs the plan's whole trace (sim/replay.h) through the pipeline. `cache`
-// may be null only with fetch_params.perfect_icache. Requires
-// !backend_params.off() — backend-off callers use the plain simulators
-// (bench::measure_seq3 routes this). The plan must carry back-end tables
+// Runs the plan's whole trace (sim/replay.h) through the pipeline. Its
+// fetch stage issues the same sim::seq3_request as the SEQ.3 loop, with the
+// speculative Engine as policy. `cache` may be null only with
+// fetch_params.perfect_icache. Requires !backend_params.off() — backend-off
+// callers run the front-end loops (bench::measure_seq3 routes this). The
+// plan must carry back-end tables
 // (a missing table aborts), built with backend_params.spec() — the
 // ReplayPlanCache keys on the spec fingerprint to guarantee it. The only
 // failure is an injected "backend.dispatch" fault, which fires once per

@@ -1,8 +1,11 @@
-// The speculative front-end engine shared by every pipelined driver: the
-// SEQ.3 and trace-cache loops in front_end.cpp and the back-end pipeline in
-// src/backend/pipeline.cpp all instantiate one Engine per run. It owns the
-// committed predictor/BTB/RAS state, the in-flight prefetch book-keeping,
-// and the decoupled fetch-target queue that scans the pipe ahead of fetch.
+// The speculative front-end engine: the front-end policy (sim/fetch_unit.h)
+// of every speculative driver. run_seq3_frontend and
+// run_trace_cache_frontend (front_end.cpp) instantiate sim::seq3_loop and
+// sim::trace_cache_loop with it, and the back-end pipeline
+// (src/backend/pipeline.cpp) hands it to each sim::seq3_request. It owns
+// the committed predictor/BTB/RAS state, the in-flight prefetch
+// book-keeping, and the decoupled fetch-target queue that scans the pipe
+// ahead of fetch.
 //
 // Header-only because the drivers live in two libraries (stc_frontend and
 // stc_backend) and the engine must evolve in lockstep for their counters to
@@ -38,16 +41,16 @@ class Engine {
         ras_(fe.ras_depth),
         spec_ras_(fe.ras_depth) {}
 
-  bool prefetching() const {
-    return fe_.prefetch && !fetch_.perfect_icache && cache_ != nullptr &&
-           fe_.ftq_depth > 0;
-  }
+  // Only a realistic predictor reads the retired groups.
+  bool resolves() const { return !perfect_; }
 
   // Demand access for one fetch line. Returns true on hit; accumulates the
   // prefetch outcome for the line and, for a line whose prefetch is still
-  // in flight, raises *wait to the residual latency.
-  bool demand_access(std::uint64_t line_addr, std::uint64_t now,
-                     std::uint64_t* wait) {
+  // in flight, raises *wait to the residual latency. The request stalls for
+  // its largest residual, so only the part a line adds to *wait counts as
+  // late-prefetch stall.
+  bool access(std::uint64_t line_addr, std::uint64_t now,
+              std::uint64_t* wait) {
     const bool hit = cache_->access(line_addr);
     const auto it = inflight_.find(line_addr / line_bytes_);
     if (it != inflight_.end()) {
@@ -56,7 +59,11 @@ class Engine {
           ++stats_->prefetch_useful;
         } else {
           ++stats_->prefetch_late;
-          *wait = std::max(*wait, it->second - now);
+          const std::uint64_t residual = it->second - now;
+          if (residual > *wait) {
+            stats_->prefetch_late_cycles += residual - *wait;
+            *wait = residual;
+          }
         }
       } else {
         ++stats_->prefetch_evicted;
@@ -66,22 +73,79 @@ class Engine {
     return hit;
   }
 
+  // The `supplied` instructions of a request have been consumed from the
+  // pipe: slides the fetch-target queue past them, then resolves the
+  // group's transfers (`group` is non-null whenever resolves()). Returns
+  // the misprediction bubble cycles.
+  std::uint64_t retire(std::uint32_t supplied, const sim::Seq3Group* group) {
+    advance(supplied);
+    return perfect_ ? 0 : resolve(*group);
+  }
+
+  // Next-trace selection: would the current predictions follow the stored
+  // path of a trace-cache hit of `len` instructions? Pure check — no
+  // counters, no training; resolution happens when the group retires.
+  bool accepts_trace(sim::FetchPipe& pipe, std::uint32_t len) {
+    if (perfect_) return true;
+    ReturnAddressStack ras = ras_;
+    sim::FetchPipe::Insn insn;
+    sim::FetchPipe::Insn next;
+    for (std::uint32_t k = 0; k < len; ++k) {
+      if (!pipe.peek(k, insn)) return false;
+      if (!insn.is_branch) continue;
+      if (!pipe.peek(k + 1, next)) break;  // trace ends: nothing to diverge
+      const std::uint64_t fallthrough = insn.addr + cfg::kInsnBytes;
+      std::uint64_t ras_target = 0;
+      if (insn.kind == cfg::BlockKind::kReturn) ras_target = ras.pop();
+      std::uint64_t pred_next = fallthrough;
+      if (pred_->predict(insn.addr)) {
+        if (insn.kind == cfg::BlockKind::kReturn) {
+          pred_next = ras_target != 0 ? ras_target : fallthrough;
+        } else {
+          std::uint64_t target = 0;
+          if (btb_.lookup(insn.addr, &target)) pred_next = target;
+        }
+      }
+      if (insn.kind == cfg::BlockKind::kCall) ras.push(fallthrough);
+      if (pred_next != next.addr) return false;
+    }
+    return true;
+  }
+
+  // Extends the run-ahead window along the predicted path, then issues up
+  // to prefetch_width line prefetches from the queue.
+  void run_ahead(sim::FetchPipe& pipe, std::uint64_t now) {
+    if (!prefetching()) return;
+    fill_scan(pipe);
+    issue(now);
+  }
+
+ private:
+  struct FtqEntry {
+    std::uint64_t line = 0;    // line index (addr / line_bytes)
+    std::uint32_t insns = 0;   // window instructions mapped onto the entry
+    bool issued = false;       // prefetch decision already made
+  };
+
+  bool prefetching() const {
+    return fe_.prefetch && !fetch_.perfect_icache && cache_ != nullptr &&
+           fe_.ftq_depth > 0;
+  }
+
   // Resolves every control transfer of a retired fetch group against the
   // committed predictor state, training as it goes. Returns the bubble
-  // cycles charged for mispredictions. Must be called after the group has
-  // been consumed from the pipe and after advance(group size).
-  std::uint64_t resolve(const std::vector<sim::FetchPipe::Insn>& group,
-                        bool group_has_next, std::uint64_t group_next_addr) {
-    if (perfect_) return 0;
+  // cycles charged for mispredictions.
+  std::uint64_t resolve(const sim::Seq3Group& group) {
+    const std::vector<sim::FetchPipe::Insn>& insns = group.insns;
     std::uint64_t bubbles = 0;
-    for (std::size_t k = 0; k < group.size(); ++k) {
-      const sim::FetchPipe::Insn& insn = group[k];
+    for (std::size_t k = 0; k < insns.size(); ++k) {
+      const sim::FetchPipe::Insn& insn = insns[k];
       if (!insn.is_branch) continue;  // layout-inserted jumps are free
       std::uint64_t actual_next = 0;
-      if (k + 1 < group.size()) {
-        actual_next = group[k + 1].addr;
-      } else if (group_has_next) {
-        actual_next = group_next_addr;
+      if (k + 1 < insns.size()) {
+        actual_next = insns[k + 1].addr;
+      } else if (group.has_next) {
+        actual_next = group.next_addr;
       } else {
         break;  // the trace ends at this transfer: nothing to resolve
       }
@@ -131,36 +195,6 @@ class Engine {
     return bubbles;
   }
 
-  // Next-trace selection: would the current predictions follow the stored
-  // path of a trace-cache hit of `len` instructions? Pure check — no
-  // counters, no training; resolution happens when the group retires.
-  bool accepts_trace(sim::FetchPipe& pipe, std::uint32_t len) {
-    if (perfect_) return true;
-    ReturnAddressStack ras = ras_;
-    sim::FetchPipe::Insn insn;
-    sim::FetchPipe::Insn next;
-    for (std::uint32_t k = 0; k < len; ++k) {
-      if (!pipe.peek(k, insn)) return false;
-      if (!insn.is_branch) continue;
-      if (!pipe.peek(k + 1, next)) break;  // trace ends: nothing to diverge
-      const std::uint64_t fallthrough = insn.addr + cfg::kInsnBytes;
-      std::uint64_t ras_target = 0;
-      if (insn.kind == cfg::BlockKind::kReturn) ras_target = ras.pop();
-      std::uint64_t pred_next = fallthrough;
-      if (pred_->predict(insn.addr)) {
-        if (insn.kind == cfg::BlockKind::kReturn) {
-          pred_next = ras_target != 0 ? ras_target : fallthrough;
-        } else {
-          std::uint64_t target = 0;
-          if (btb_.lookup(insn.addr, &target)) pred_next = target;
-        }
-      }
-      if (insn.kind == cfg::BlockKind::kCall) ras.push(fallthrough);
-      if (pred_next != next.addr) return false;
-    }
-    return true;
-  }
-
   // Slides the fetch-target queue window forward over `n` just-consumed
   // instructions.
   void advance(std::uint32_t n) {
@@ -181,21 +215,6 @@ class Engine {
       if (blocked_offset_ < 0) blocked_ = false;
     }
   }
-
-  // Extends the run-ahead window along the predicted path, then issues up
-  // to prefetch_width line prefetches from the queue.
-  void run_ahead(sim::FetchPipe& pipe, std::uint64_t now) {
-    if (!prefetching()) return;
-    fill_scan(pipe);
-    issue(now);
-  }
-
- private:
-  struct FtqEntry {
-    std::uint64_t line = 0;    // line index (addr / line_bytes)
-    std::uint32_t insns = 0;   // window instructions mapped onto the entry
-    bool issued = false;       // prefetch decision already made
-  };
 
   void flush_ftq() {
     if (!prefetching()) return;
@@ -280,54 +299,5 @@ class Engine {
   // prefetch; erased at the first demand access of the line.
   std::unordered_map<std::uint64_t, std::uint64_t> inflight_;
 };
-
-// Charges the i-cache path of one fetch request: demand accesses for the
-// one or two touched lines, the standard miss penalty, and any residual
-// wait on late prefetches. Returns the stall cycles the fetch stage pays on
-// top of its base cycle; miss counters land in *fetch, late-prefetch stall
-// accounting in *frontend.
-inline std::uint64_t charge_icache(Engine& eng, const sim::Seq3Cycle& cycle,
-                                   const sim::FetchParams& params,
-                                   std::uint32_t line_bytes, std::uint64_t now,
-                                   sim::FetchResult* fetch,
-                                   FrontEndStats* frontend) {
-  std::uint64_t wait = 0;
-  std::uint32_t missed = 0;
-  std::uint64_t stall = 0;
-  if (!eng.demand_access(cycle.line0, now, &wait)) ++missed;
-  if (cycle.touched_line1 &&
-      !eng.demand_access(cycle.line0 + line_bytes, now, &wait)) {
-    ++missed;
-  }
-  if (missed > 0) {
-    ++fetch->miss_requests;
-    fetch->lines_missed += missed;
-    stall += params.penalty_per_line
-                 ? std::uint64_t{params.miss_penalty} * missed
-                 : params.miss_penalty;
-  }
-  if (wait > 0) {
-    stall += wait;
-    frontend->prefetch_late_cycles += wait;
-  }
-  return stall;
-}
-
-// Copies the next `len` instructions of the pipe into *insns without
-// consuming them, plus the address that follows the group (if any).
-inline void snapshot_group(sim::FetchPipe& pipe, std::uint32_t len,
-                           std::vector<sim::FetchPipe::Insn>* insns,
-                           bool* has_next, std::uint64_t* next_addr) {
-  insns->clear();
-  sim::FetchPipe::Insn insn;
-  for (std::uint32_t k = 0; k < len; ++k) {
-    const bool ok = pipe.peek(k, insn);
-    STC_DCHECK(ok);
-    if (!ok) break;
-    insns->push_back(insn);
-  }
-  *has_next = pipe.peek(len, insn);
-  *next_addr = *has_next ? insn.addr : 0;
-}
 
 }  // namespace stc::frontend

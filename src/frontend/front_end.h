@@ -25,9 +25,12 @@
 // (the layout moved the successor) is treated as a layout-inserted direct
 // unconditional jump: statically known, never predicted, never wrong.
 //
-// With BpredKind::kPerfect and prefetching off the front end is
-// *transparent*: the runs delegate to the plain simulators and reproduce
-// Table 3/4 results byte-identically (verified by tests and the oracle).
+// Both runs instantiate the one SEQ.3 and trace-cache loops
+// (sim::seq3_loop, sim::trace_cache_loop) with the Engine policy
+// (engine.h), where the paper's simulators use sim::NoFrontEnd. With
+// BpredKind::kPerfect and prefetching off the Engine never stalls and never
+// rejects a trace, so the runs reproduce Table 3/4 results byte-identically;
+// tests and the fuzz driver compare the two policies field for field.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +54,8 @@ struct FrontEndParams {
   std::uint32_t ftq_depth = 8;            // fetch-target queue depth (lines)
   std::uint32_t prefetch_width = 2;       // prefetches issued per cycle
 
-  // True when the front end cannot perturb the baseline simulators at all:
-  // perfect prediction and no prefetching. Runs then delegate to run_seq3 /
-  // run_trace_cache and stay byte-identical to the paper's configuration.
+  // True for perfect prediction and no prefetching: every front-end counter
+  // stays zero, so bench cells omit them (and "mpki") from their reports.
   bool transparent() const {
     return kind == BpredKind::kPerfect && !prefetch;
   }

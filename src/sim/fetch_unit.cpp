@@ -81,6 +81,7 @@ Seq3Cycle seq3_fetch_cycle(FetchPipe& pipe, const FetchParams& params,
   std::uint32_t branches = 0;
   std::uint64_t last_addr = fetch_addr;
   FetchPipe::Insn insn;
+  if (group != nullptr) group->insns.clear();
   while (cycle.supplied < params.width) {
     if (!pipe.peek(cycle.supplied, insn)) break;
     if (insn.addr >= limit_addr) break;  // beyond the two accessed lines
@@ -102,35 +103,27 @@ Seq3Cycle seq3_fetch_cycle(FetchPipe& pipe, const FetchParams& params,
   return cycle;
 }
 
+void peek_group(FetchPipe& pipe, std::uint32_t len, Seq3Group* group) {
+  group->insns.clear();
+  FetchPipe::Insn insn;
+  for (std::uint32_t k = 0; k < len && pipe.peek(k, insn); ++k) {
+    group->insns.push_back(insn);
+  }
+  group->has_next = pipe.peek(len, insn);
+  group->next_addr = group->has_next ? insn.addr : 0;
+}
+
+std::uint32_t begin_fetch_run(const FetchParams& params, ICache* cache) {
+  STC_REQUIRE(params.perfect_icache || cache != nullptr);
+  if (cache == nullptr) return 64;
+  cache->reset();
+  return cache->geometry().line_bytes;
+}
+
 FetchResult run_seq3(const ReplayPlan& plan, const FetchParams& params,
                      ICache* cache) {
-  FetchPipe pipe(plan);
-  STC_REQUIRE(params.perfect_icache || cache != nullptr);
-  if (cache != nullptr) cache->reset();
-  const std::uint32_t line_bytes =
-      cache != nullptr ? cache->geometry().line_bytes : 64;
-
-  FetchResult result;
-  while (!pipe.done()) {
-    const Seq3Cycle cycle = seq3_fetch_cycle(pipe, params, line_bytes);
-    result.instructions += cycle.supplied;
-    ++result.fetch_requests;
-    ++result.cycles;
-    if (!params.perfect_icache) {
-      std::uint32_t missed = cache->access(cycle.line0) ? 0 : 1;
-      if (cycle.touched_line1 && !cache->access(cycle.line0 + line_bytes)) {
-        ++missed;
-      }
-      if (missed > 0) {
-        ++result.miss_requests;
-        result.lines_missed += missed;
-        result.cycles += params.penalty_per_line
-                             ? std::uint64_t{params.miss_penalty} * missed
-                             : params.miss_penalty;
-      }
-    }
-  }
-  return result;
+  return seq3_loop(plan, params, cache,
+                   [cache](std::uint32_t) { return NoFrontEnd{cache}; });
 }
 
 }  // namespace stc::sim

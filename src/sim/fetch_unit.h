@@ -103,31 +103,127 @@ struct FetchResult {
 };
 
 // One SEQ.3 fetch cycle against `pipe`: decides how many instructions the
-// unit supplies and which lines it touches. Exposed for reuse by the trace
-// cache simulator and for unit tests.
+// unit supplies and which lines it touches. Its one caller is seq3_request.
 struct Seq3Cycle {
   std::uint32_t supplied = 0;
   std::uint64_t line0 = 0;       // first accessed line address
   bool touched_line1 = false;    // fetch extended into the second line
 };
 
-// Optional capture of the instructions a fetch cycle supplied, plus the
+// Optional capture of the instructions a fetch request supplied, plus the
 // address of the instruction that follows the group (the fetch redirect
-// target). Consumed by the speculative front end (src/frontend), which must
-// resolve the group's branches after the cycle has advanced the pipe.
+// target). Read by the trace cache's fill buffer, the speculative front end
+// (src/frontend), which resolves the group's branches after the request
+// has advanced the pipe, and the back end's decode.
 struct Seq3Group {
   std::vector<FetchPipe::Insn> insns;
   bool has_next = false;        // an instruction follows the group
   std::uint64_t next_addr = 0;  // its address (valid only when has_next)
 };
 
+// Replaces *group (when non-null) with the instructions it supplies.
 Seq3Cycle seq3_fetch_cycle(FetchPipe& pipe, const FetchParams& params,
-                           std::uint32_t line_bytes,
-                           Seq3Group* group = nullptr);
+                           std::uint32_t line_bytes, Seq3Group* group);
 
-// Runs the plan's whole trace (sim/replay.h) through SEQ.3 backed by
-// `cache` (reset first). `cache` may be null only with
-// params.perfect_icache.
+// Copies the next `len` instructions of `pipe` into *group without
+// consuming them (a trace-cache hit supplies them whole).
+void peek_group(FetchPipe& pipe, std::uint32_t len, Seq3Group* group);
+
+// Starts a fetch run: `cache` may be null only with params.perfect_icache,
+// and is reset. Returns the line size fetch requests are cut at.
+std::uint32_t begin_fetch_run(const FetchParams& params, ICache* cache);
+
+// ---- Front-end policies ----------------------------------------------------
+//
+// A fetch loop is written once over a front-end policy FE, which supplies
+//   bool resolves() const
+//       whether retire() reads each request's captured group;
+//   bool access(std::uint64_t line_addr, std::uint64_t now,
+//               std::uint64_t* wait)
+//       the demand i-cache access of one touched line (true on hit); may
+//       raise *wait to the residual latency of a late prefetch;
+//   std::uint64_t retire(std::uint32_t supplied, const Seq3Group* group)
+//       the request's instructions have left the pipe; returns the
+//       misprediction bubble cycles (`group` is non-null when resolves());
+//   bool accepts_trace(FetchPipe& pipe, std::uint32_t len)
+//       whether the front end would follow a trace-cache hit of `len`;
+//   void run_ahead(FetchPipe& pipe, std::uint64_t now)
+//       runs ahead of fetch once the request's cycles are charged.
+// NoFrontEnd below is the paper's machine; frontend::Engine is the
+// speculative one.
+
+// Perfect prediction and no prefetching: plain i-cache accesses, no stalls
+// beyond the miss penalty, and no group capture.
+struct NoFrontEnd {
+  ICache* cache;
+
+  static constexpr bool resolves() { return false; }
+  bool access(std::uint64_t line_addr, std::uint64_t /*now*/,
+              std::uint64_t* /*wait*/) {
+    return cache->access(line_addr);
+  }
+  std::uint64_t retire(std::uint32_t /*supplied*/, const Seq3Group*) {
+    return 0;
+  }
+  bool accepts_trace(FetchPipe&, std::uint32_t /*len*/) { return true; }
+  void run_ahead(FetchPipe&, std::uint64_t /*now*/) {}
+};
+
+// One SEQ.3 fetch request at cycle `now`: supplies a group from `pipe`
+// (captured into *group when non-null), counts it into *result, charges the
+// one or two touched lines through `fe` and retires the group. Returns the
+// cycles the request stalls on top of its own: the miss penalty, any late
+// prefetch's residual latency and misprediction bubbles.
+template <typename FE>
+std::uint64_t seq3_request(FetchPipe& pipe, const FetchParams& params,
+                           std::uint32_t line_bytes, std::uint64_t now, FE& fe,
+                           Seq3Group* group, FetchResult* result) {
+  const Seq3Cycle cycle = seq3_fetch_cycle(pipe, params, line_bytes, group);
+  result->instructions += cycle.supplied;
+  ++result->fetch_requests;
+  std::uint64_t stall = 0;
+  if (!params.perfect_icache) {
+    std::uint64_t wait = 0;
+    std::uint32_t missed = fe.access(cycle.line0, now, &wait) ? 0 : 1;
+    if (cycle.touched_line1 &&
+        !fe.access(cycle.line0 + line_bytes, now, &wait)) {
+      ++missed;
+    }
+    if (missed > 0) {
+      ++result->miss_requests;
+      result->lines_missed += missed;
+      const std::uint64_t units = params.penalty_per_line ? missed : 1;
+      stall += units * params.miss_penalty;
+    }
+    stall += wait;
+  }
+  return stall + fe.retire(cycle.supplied, group);
+}
+
+// The SEQ.3 fetch loop: the plan's whole trace (sim/replay.h), one request
+// per cycle plus its stalls. `make_fe(line_bytes)` builds the policy once
+// the cache is reset.
+template <typename MakeFE>
+FetchResult seq3_loop(const ReplayPlan& plan, const FetchParams& params,
+                      ICache* cache, MakeFE make_fe) {
+  FetchPipe pipe(plan);
+  const std::uint32_t line_bytes = begin_fetch_run(params, cache);
+  auto fe = make_fe(line_bytes);
+  Seq3Group group;
+  Seq3Group* const capture = fe.resolves() ? &group : nullptr;
+  FetchResult result;
+  while (!pipe.done()) {
+    const std::uint64_t stall = seq3_request(pipe, params, line_bytes,
+                                             result.cycles, fe, capture,
+                                             &result);
+    result.cycles += 1 + stall;
+    fe.run_ahead(pipe, result.cycles);
+  }
+  return result;
+}
+
+// Runs the plan's whole trace through SEQ.3 backed by `cache` (reset
+// first). `cache` may be null only with params.perfect_icache.
 FetchResult run_seq3(const ReplayPlan& plan, const FetchParams& params,
                      ICache* cache);
 

@@ -55,71 +55,8 @@ void TraceCache::commit_fill() {
 
 FetchResult run_trace_cache(const ReplayPlan& plan, const FetchParams& params,
                             const TraceCacheParams& tc_params, ICache* cache) {
-  FetchPipe pipe(plan);
-  STC_REQUIRE(params.perfect_icache || cache != nullptr);
-  if (cache != nullptr) cache->reset();
-  const std::uint32_t line_bytes =
-      cache != nullptr ? cache->geometry().line_bytes : 64;
-
-  TraceCache tc(tc_params);
-  FetchResult result;
-  while (!pipe.done()) {
-    const std::uint64_t fetch_addr = pipe.addr();
-    if (const std::uint32_t hit_len = tc.probe(fetch_addr, pipe)) {
-      // Trace cache hit: the whole stored trace is supplied this cycle.
-      ++result.tc_hits;
-      ++result.fetch_requests;
-      ++result.cycles;
-      result.instructions += hit_len;
-      // The fill buffer observes the retired instruction stream regardless
-      // of where the instructions came from.
-      if (tc.fill_active()) {
-        FetchPipe::Insn insn;
-        for (std::uint32_t k = 0; k < hit_len && pipe.peek(k, insn); ++k) {
-          tc.fill_push(insn);
-        }
-      }
-      pipe.consume(hit_len);
-      continue;
-    }
-    ++result.tc_misses;
-
-    // Miss: the sequential unit fetches from the i-cache while the fill
-    // buffer constructs a new trace starting at this address.
-    if (!tc.fill_active()) tc.begin_fill(fetch_addr);
-    // Snapshot the upcoming instructions for the fill buffer before the
-    // cycle consumes them.
-    std::vector<FetchPipe::Insn> supplied_insns;
-    {
-      FetchPipe::Insn peeked;
-      for (std::uint32_t k = 0; k < params.width && pipe.peek(k, peeked); ++k) {
-        supplied_insns.push_back(peeked);
-      }
-    }
-    const Seq3Cycle cycle = seq3_fetch_cycle(pipe, params, line_bytes);
-    result.instructions += cycle.supplied;
-    ++result.fetch_requests;
-    ++result.cycles;
-    if (!params.perfect_icache) {
-      std::uint32_t missed = cache->access(cycle.line0) ? 0 : 1;
-      if (cycle.touched_line1 && !cache->access(cycle.line0 + line_bytes)) {
-        ++missed;
-      }
-      if (missed > 0) {
-        ++result.miss_requests;
-        result.lines_missed += missed;
-        result.cycles += params.penalty_per_line
-                             ? std::uint64_t{params.miss_penalty} * missed
-                             : params.miss_penalty;
-      }
-    }
-    for (std::uint32_t k = 0; k < cycle.supplied; ++k) {
-      tc.fill_push(supplied_insns[k]);
-    }
-  }
-  result.tc_fills = tc.stored_traces();
-  result.tc_probes = tc.probes();
-  return result;
+  return trace_cache_loop(plan, params, tc_params, cache,
+                          [cache](std::uint32_t) { return NoFrontEnd{cache}; });
 }
 
 }  // namespace stc::sim

@@ -74,6 +74,56 @@ class TraceCache {
   std::uint64_t stored_ = 0;
 };
 
+// The trace-cache fetch loop: each request probes the trace cache first
+// and falls back to a SEQ.3 request on a miss (or on a hit the policy `fe`
+// would not follow: next-trace selection is keyed by predicted outcomes).
+// The fill buffer observes every supplied group, hit or miss.
+// `make_fe(line_bytes)` builds the policy once the cache is reset.
+template <typename MakeFE>
+FetchResult trace_cache_loop(const ReplayPlan& plan, const FetchParams& params,
+                             const TraceCacheParams& tc_params, ICache* cache,
+                             MakeFE make_fe) {
+  FetchPipe pipe(plan);
+  const std::uint32_t line_bytes = begin_fetch_run(params, cache);
+  auto fe = make_fe(line_bytes);
+  TraceCache tc(tc_params);
+  Seq3Group group;
+  FetchResult result;
+  while (!pipe.done()) {
+    const std::uint64_t fetch_addr = pipe.addr();
+    std::uint32_t hit_len = tc.probe(fetch_addr, pipe);
+    if (hit_len > 0 && !fe.accepts_trace(pipe, hit_len)) hit_len = 0;
+    std::uint64_t stall = 0;
+    if (hit_len > 0) {
+      // Hit: the whole stored trace is supplied this cycle, with no
+      // i-cache access.
+      ++result.tc_hits;
+      ++result.fetch_requests;
+      result.instructions += hit_len;
+      const bool capture = fe.resolves() || tc.fill_active();
+      if (capture) {
+        peek_group(pipe, hit_len, &group);
+        for (const FetchPipe::Insn& insn : group.insns) tc.fill_push(insn);
+      }
+      pipe.consume(hit_len);
+      stall = fe.retire(hit_len, capture ? &group : nullptr);
+    } else {
+      // Miss: SEQ.3 fetches from the i-cache while the fill buffer builds a
+      // new trace starting at this address.
+      ++result.tc_misses;
+      if (!tc.fill_active()) tc.begin_fill(fetch_addr);
+      stall = seq3_request(pipe, params, line_bytes, result.cycles, fe, &group,
+                           &result);
+      for (const FetchPipe::Insn& insn : group.insns) tc.fill_push(insn);
+    }
+    result.cycles += 1 + stall;
+    fe.run_ahead(pipe, result.cycles);
+  }
+  result.tc_fills = tc.stored_traces();
+  result.tc_probes = tc.probes();
+  return result;
+}
+
 // Full combined simulation over the plan's trace (sim/replay.h): trace
 // cache in front of SEQ.3 + i-cache. `cache` may be null only with
 // params.perfect_icache ("Ideal" row).

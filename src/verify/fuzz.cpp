@@ -153,8 +153,9 @@ BuiltCase build_case(const FuzzCase& c) {
 
 namespace {
 
-// Front-end checks over one layout: the transparent configuration must match
-// the baseline simulators field for field, and a deliberately undersized
+// Front-end checks over one layout: the transparent configuration (the
+// Engine policy) must match the baseline simulators (the NoFrontEnd policy)
+// field for field, and a deliberately undersized
 // realistic configuration (tiny tables, RAS shallower than the deep-call
 // shapes) must satisfy the front-end counter identities.
 Report check_frontend(const trace::BlockTrace& trace,

@@ -4,12 +4,14 @@
 // under repetition and thread-level concurrency, the plan the pipeline
 // reads matches the reference feed, and the degenerate program families
 // from tests/testing/synthetic.h do not wedge the pipeline.
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "backend/pipeline.h"
+#include "sim/fetch_unit.h"
 #include "sim/icache.h"
 #include "sim/replay.h"
 #include "support/rng.h"
@@ -275,6 +277,62 @@ TEST(BackendPropertyTest, DegenerateFamiliesDoNotWedgeThePipeline) {
         verify::trace_instructions(trace, *image));
     EXPECT_TRUE(report.ok()) << testing::degenerate_family_name(family)
                              << ": " << report.summary();
+  }
+}
+
+// The back end issues the same sim::seq3_request as the plain SEQ.3 loop,
+// only on its own clock. With a transparent front end neither the group
+// sequence nor the i-cache access order depends on back-end timing, so the
+// fetch-side counters and the cache stats must equal sim::run_seq3's at
+// every window depth.
+void expect_fetch_side_matches_seq3(const trace::BlockTrace& trace,
+                                    const cfg::ProgramImage& image,
+                                    const cfg::AddressMap& layout,
+                                    const char* what) {
+  sim::ICache base_cache(kGeometry);
+  const sim::FetchResult base = sim::run_seq3(
+      testing::make_plan(trace, image, layout), sim::FetchParams{},
+      &base_cache);
+  for (const std::uint32_t depth : {1u, 16u, 1024u}) {
+    for (const BackendKind kind : {BackendKind::kInOrder, BackendKind::kOoo}) {
+      BackendParams bp;
+      bp.kind = kind;
+      bp.iq_depth = depth;
+      bp.rob_depth = depth;
+      sim::ICache cache(kGeometry);
+      const Result<BackendResult> r = run_seq3_backend(
+          testing::make_plan(trace, image, layout, 0, bp.spec()),
+          sim::FetchParams{}, frontend::FrontEndParams{}, bp, &cache);
+      ASSERT_TRUE(r.is_ok()) << what << ": " << r.status().to_string();
+      const sim::FetchResult& fetch = r.value().fetch;
+      SCOPED_TRACE(std::string(what) + " depth " + std::to_string(depth) +
+                   " " + to_string(kind));
+      EXPECT_EQ(fetch.instructions, base.instructions);
+      EXPECT_EQ(fetch.fetch_requests, base.fetch_requests);
+      EXPECT_EQ(fetch.miss_requests, base.miss_requests);
+      EXPECT_EQ(fetch.lines_missed, base.lines_missed);
+      EXPECT_EQ(cache.stats().accesses, base_cache.stats().accesses);
+      EXPECT_EQ(cache.stats().misses, base_cache.stats().misses);
+      EXPECT_EQ(cache.stats().victim_hits, base_cache.stats().victim_hits);
+    }
+  }
+}
+
+TEST(BackendPropertyTest, FetchSideMatchesSeq3AtEveryWindowDepth) {
+  Rng rng(31);
+  for (int trial = 0; trial < 8; ++trial) {
+    const auto image = random_image(rng, 4);
+    const auto trace = random_trace(*image, rng, 300);
+    const auto layout = cfg::AddressMap::original(*image);
+    expect_fetch_side_matches_seq3(trace, *image, layout, "random");
+  }
+  for (int family = 0; family < testing::kNumDegenerateFamilies; ++family) {
+    const auto image = degenerate_image(rng, family);
+    trace::BlockTrace trace;
+    if (image->num_blocks() > 0) trace = random_trace(*image, rng, 150);
+    const auto layout = cfg::AddressMap::original(*image);
+    expect_fetch_side_matches_seq3(trace, *image, layout,
+                                   testing::degenerate_family_name(family));
   }
 }
 

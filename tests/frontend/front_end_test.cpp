@@ -47,73 +47,83 @@ void expect_zero_frontend(const FrontEndStats& s) {
   EXPECT_EQ(s.prefetch_late_cycles, 0u);
 }
 
-// The transparent configuration (perfect prediction, no prefetch) must
-// reproduce the baseline simulators byte for byte on random programs.
-TEST(FrontEndTest, TransparentMatchesBaselineSeq3) {
-  Rng rng(20260806);
+// The fetch configurations the transparent front end is compared under:
+// the default, one penalty per missing line, and the "Ideal" perfect
+// i-cache (no cache at all).
+std::vector<sim::FetchParams> fetch_variants() {
+  sim::FetchParams per_line;
+  per_line.penalty_per_line = true;
+  sim::FetchParams ideal;
+  ideal.perfect_icache = true;
+  return {sim::FetchParams{}, per_line, ideal};
+}
+
+// The transparent configuration (perfect prediction, no prefetch) runs the
+// Engine policy; the baseline simulators run NoFrontEnd. Both must agree
+// field for field, touch the i-cache identically and leave every front-end
+// counter at zero, for SEQ.3 (with_tc false) or the trace cache.
+void expect_transparent_matches(const sim::ReplayPlan& plan,
+                                const sim::FetchParams& params, bool with_tc) {
   const FrontEndParams fe;  // perfect, no prefetch
   ASSERT_TRUE(fe.transparent());
+  const sim::TraceCacheParams tc;
+  sim::ICache base_cache(kGeometry);
+  sim::ICache fe_cache(kGeometry);
+  sim::ICache* base_icache = params.perfect_icache ? nullptr : &base_cache;
+  sim::ICache* fe_icache = params.perfect_icache ? nullptr : &fe_cache;
+  const sim::FetchResult base =
+      with_tc ? sim::run_trace_cache(plan, params, tc, base_icache)
+              : sim::run_seq3(plan, params, base_icache);
+  const FrontEndResult spec =
+      with_tc ? run_trace_cache_frontend(plan, params, tc, fe, fe_icache)
+              : run_seq3_frontend(plan, params, fe, fe_icache);
+  expect_same_fetch(spec.fetch, base);
+  expect_zero_frontend(spec.frontend);
+  EXPECT_EQ(fe_cache.stats().accesses, base_cache.stats().accesses);
+  EXPECT_EQ(fe_cache.stats().misses, base_cache.stats().misses);
+}
+
+TEST(FrontEndTest, TransparentMatchesBaselineSeq3) {
+  Rng rng(20260806);
   for (int trial = 0; trial < 10; ++trial) {
     const auto image = testing::random_image(rng, 4);
     if (image->num_blocks() == 0) continue;
     const auto trace = testing::random_trace(*image, rng, 400);
     const auto layout = cfg::AddressMap::original(*image);
-    const sim::FetchParams params;
-    sim::ICache base_cache(kGeometry);
-    const sim::FetchResult base =
-        sim::run_seq3(testing::make_plan(trace, *image, layout), params,
-                      &base_cache);
-    sim::ICache fe_cache(kGeometry);
-    const FrontEndResult spec =
-        run_seq3_frontend(testing::make_plan(trace, *image, layout), params, fe,
-                          &fe_cache);
-    expect_same_fetch(spec.fetch, base);
-    expect_zero_frontend(spec.frontend);
+    const sim::ReplayPlan plan = testing::make_plan(trace, *image, layout);
+    for (const sim::FetchParams& params : fetch_variants()) {
+      expect_transparent_matches(plan, params, /*with_tc=*/false);
+    }
   }
 }
 
 TEST(FrontEndTest, TransparentMatchesBaselineTraceCache) {
   Rng rng(19990401);
-  const FrontEndParams fe;
-  const sim::TraceCacheParams tc;
   for (int trial = 0; trial < 10; ++trial) {
     const auto image = testing::random_image(rng, 4);
     if (image->num_blocks() == 0) continue;
     const auto trace = testing::random_trace(*image, rng, 400);
     const auto layout = cfg::AddressMap::original(*image);
-    const sim::FetchParams params;
-    sim::ICache base_cache(kGeometry);
-    const sim::FetchResult base =
-        sim::run_trace_cache(testing::make_plan(trace, *image, layout), params,
-                             tc, &base_cache);
-    sim::ICache fe_cache(kGeometry);
-    const FrontEndResult spec = run_trace_cache_frontend(
-        testing::make_plan(trace, *image, layout), params, tc, fe, &fe_cache);
-    expect_same_fetch(spec.fetch, base);
-    expect_zero_frontend(spec.frontend);
+    const sim::ReplayPlan plan = testing::make_plan(trace, *image, layout);
+    for (const sim::FetchParams& params : fetch_variants()) {
+      expect_transparent_matches(plan, params, /*with_tc=*/true);
+    }
   }
 }
 
 TEST(FrontEndTest, TransparentMatchesBaselineOnDegenerateFamilies) {
   Rng rng(7);
-  const FrontEndParams fe;
-  const sim::FetchParams params;
   for (int family = 0; family < testing::kNumDegenerateFamilies; ++family) {
     const auto image = testing::degenerate_image(rng, family);
     const auto trace = image->num_blocks() == 0
                            ? trace::BlockTrace{}
                            : testing::random_trace(*image, rng, 200);
     const auto layout = cfg::AddressMap::original(*image);
-    sim::ICache base_cache(kGeometry);
-    const sim::FetchResult base =
-        sim::run_seq3(testing::make_plan(trace, *image, layout), params,
-                      &base_cache);
-    sim::ICache fe_cache(kGeometry);
-    const FrontEndResult spec =
-        run_seq3_frontend(testing::make_plan(trace, *image, layout), params, fe,
-                          &fe_cache);
-    expect_same_fetch(spec.fetch, base);
-    expect_zero_frontend(spec.frontend);
+    const sim::ReplayPlan plan = testing::make_plan(trace, *image, layout);
+    for (const sim::FetchParams& params : fetch_variants()) {
+      expect_transparent_matches(plan, params, /*with_tc=*/false);
+      expect_transparent_matches(plan, params, /*with_tc=*/true);
+    }
   }
 }
 

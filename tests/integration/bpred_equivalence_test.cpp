@@ -1,6 +1,8 @@
 // Property: with the perfect predictor (the default STC_BPRED) the bench
-// measurement cells are byte-identical to the Table 3/4 baseline cells —
-// the speculative front end cannot perturb the paper's reproduced numbers.
+// measurement cells, which run the speculative front end's Engine policy,
+// are byte-identical to cells rebuilt from the paper's simulators
+// (sim::run_seq3 / sim::run_trace_cache, the NoFrontEnd policy) — the
+// speculative front end cannot perturb the paper's reproduced numbers.
 // Compares serialized results_json, so metrics, counters, key order and
 // formatting are all covered.
 #include <gtest/gtest.h>
@@ -11,8 +13,12 @@
 
 #include "bench/common.h"
 #include "cfg/address_map.h"
+#include "sim/fetch_unit.h"
+#include "sim/icache.h"
+#include "sim/trace_cache.h"
 #include "support/experiment.h"
 #include "support/rng.h"
+#include "testing/plan.h"
 #include "testing/synthetic.h"
 
 namespace stc {
@@ -39,19 +45,34 @@ std::string grid_json(Measure&& measure) {
   return runner.results_json();
 }
 
+// The baseline cells re-derive the plain Table 4 measurement from the
+// simulators directly, in the bench cells' metric and counter order.
 TEST(BpredEquivalenceTest, TransparentFrontEndLeavesSeq3CellsByteIdentical) {
+  if (!bench::backend_params().off()) {
+    GTEST_SKIP() << "STC_BACKEND is set; the seq3 cells run the back end";
+  }
   const sim::CacheGeometry geometry{1024, 32, 1};
   const frontend::FrontEndParams transparent;
   ASSERT_TRUE(transparent.transparent());
   const std::string baseline = grid_json(
       [&](const trace::BlockTrace& t, const cfg::ProgramImage& i,
           const cfg::AddressMap& l) {
-        return bench::measure_seq3(t, i, l, geometry);
+        sim::ICache cache(geometry);
+        const sim::FetchResult sim = sim::run_seq3(
+            testing::make_plan(t, i, l, geometry.line_bytes),
+            sim::FetchParams{}, &cache);
+        ExperimentResult result;
+        result.metric("ipc", sim.ipc());
+        sim.export_counters(result.counters());
+        cache.stats().export_counters(result.counters());
+        result.counters().add("blocks", t.num_events());
+        return result;
       });
   const std::string frontend = grid_json(
       [&](const trace::BlockTrace& t, const cfg::ProgramImage& i,
           const cfg::AddressMap& l) {
-        return bench::measure_seq3_bpred(t, i, l, geometry, transparent);
+        return bench::measure_seq3(t, i, l, geometry, /*perfect=*/false,
+                                   transparent);
       });
   EXPECT_EQ(baseline, frontend);
 }
@@ -63,12 +84,23 @@ TEST(BpredEquivalenceTest, TransparentFrontEndLeavesTraceCacheCellsByteIdentical
   const std::string baseline = grid_json(
       [&](const trace::BlockTrace& t, const cfg::ProgramImage& i,
           const cfg::AddressMap& l) {
-        return bench::measure_tc(t, i, l, geometry, tc);
+        sim::ICache cache(geometry);
+        const sim::FetchResult sim = sim::run_trace_cache(
+            testing::make_plan(t, i, l, geometry.line_bytes),
+            sim::FetchParams{}, tc, &cache);
+        ExperimentResult result;
+        result.metric("ipc", sim.ipc());
+        result.metric("tc_hit_pct", 100.0 * sim.tc_hit_ratio());
+        sim.export_counters(result.counters());
+        cache.stats().export_counters(result.counters());
+        result.counters().add("blocks", t.num_events());
+        return result;
       });
   const std::string frontend = grid_json(
       [&](const trace::BlockTrace& t, const cfg::ProgramImage& i,
           const cfg::AddressMap& l) {
-        return bench::measure_tc_bpred(t, i, l, geometry, tc, transparent);
+        return bench::measure_tc(t, i, l, geometry, tc, /*perfect=*/false,
+                                 transparent);
       });
   EXPECT_EQ(baseline, frontend);
 }

@@ -60,7 +60,8 @@ trace::BlockTrace mini_trace() {
 }
 
 // One perfect and one gshare cell in the real cell schema (metric and
-// counter insertion order copied from measure_seq3 / measure_seq3_bpred).
+// counter insertion order copied from bench::measure_seq3, whose perfect
+// cells omit "mpki" and the front-end counters).
 std::string build_report() {
   const auto image = mini_image();
   const auto layout = cfg::AddressMap::original(*image);
