@@ -10,35 +10,18 @@ namespace stc::backend {
 
 namespace {
 
-using sim::FetchPipe;
-
-// Produces the BackendOp for each completed basic block, in trace order:
-// walks the event slab in lockstep with the fetch stream and reads latency
-// and register names from the plan's back-end tables. The DCHECKs pin the
-// lockstep.
-class OpSource {
- public:
-  explicit OpSource(const sim::ReplayPlan& plan) : plan_(plan) {}
-
-  BackendOp next(std::uint64_t block_start, std::uint32_t block_insns) {
-    BackendOp op;
-    op.addr = block_start;
-    op.insns = block_insns;
-    const cfg::BlockId b = plan_.slab()[cursor_++];
-    STC_DCHECK(plan_.meta().addr(b) == block_start);
-    STC_DCHECK(plan_.meta().insns(b) == block_insns);
-    const sim::BackendTable& table = plan_.backend();
-    op.latency = table.latency(b);
-    op.dest = table.dest(b);
-    op.src1 = table.src1(b);
-    op.src2 = table.src2(b);
-    return op;
-  }
-
- private:
-  const sim::ReplayPlan& plan_;
-  std::size_t cursor_ = 0;
-};
+// The op of one completed basic block, from the plan's tables.
+BackendOp block_op(const sim::ReplayPlan& plan, cfg::BlockId b) {
+  const sim::BackendTable& table = plan.backend();
+  BackendOp op;
+  op.addr = plan.meta().addr(b);
+  op.insns = plan.meta().insns(b);
+  op.latency = table.latency(b);
+  op.dest = table.dest(b);
+  op.src1 = table.src1(b);
+  op.src2 = table.src2(b);
+  return op;
+}
 
 }  // namespace
 
@@ -59,8 +42,7 @@ Result<BackendResult> run_seq3_backend(const sim::ReplayPlan& plan,
   // The plan cache keys on the spec fingerprint, so a plan with tables for
   // a different config can only reach here through a caller bug.
   STC_DCHECK(plan.backend().spec() == backend_params.spec());
-  FetchPipe pipe(plan);
-  OpSource source(plan);
+  sim::FetchPipe pipe(plan);
   const std::uint32_t line_bytes = sim::begin_fetch_run(fetch_params, cache);
 
   BackendResult result;
@@ -71,11 +53,6 @@ Result<BackendResult> run_seq3_backend(const sim::ReplayPlan& plan,
   sim::Seq3Group group;
   std::uint64_t now = 0;
   std::uint64_t fetch_ready = 0;  // cycle the fetch unit is free again
-  // A basic block may straddle fetch groups (width or line limits); decode
-  // emits its op only once the block's last instruction arrives.
-  bool in_block = false;
-  std::uint64_t block_start = 0;
-  std::uint32_t block_insns = 0;
 
   while (!pipe.done() || !fifo.empty() || !backend.empty()) {
     backend.step(now);
@@ -86,17 +63,10 @@ Result<BackendResult> run_seq3_backend(const sim::ReplayPlan& plan,
             pipe, fetch_params, line_bytes, now, eng, &group, &result.fetch);
         fetch_ready = now + 1 + stall;
         eng.run_ahead(pipe, fetch_ready);
-        for (const FetchPipe::Insn& insn : group.insns) {
-          if (!in_block) {
-            in_block = true;
-            block_start = insn.addr;
-            block_insns = 0;
-          }
-          ++block_insns;
-          if (insn.block_end) {
-            fifo.push_back(source.next(block_start, block_insns));
-            in_block = false;
-          }
+        // A basic block may straddle fetch groups (width or line limits);
+        // decode emits its op once the block's last instruction arrives.
+        for (const sim::FetchPipe::Insn& insn : group.insns) {
+          if (insn.block_end) fifo.push_back(block_op(plan, insn.block));
         }
       } else {
         ++result.backend.frontend_stall_cycles;  // back-pressure on fetch
@@ -120,7 +90,6 @@ Result<BackendResult> run_seq3_backend(const sim::ReplayPlan& plan,
 
     ++now;
   }
-  STC_DCHECK(!in_block);  // blocks never end mid-trace (every block >= 1 insn)
   result.fetch.cycles = now;
   result.backend.cycles = now;
   return result;

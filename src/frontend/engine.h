@@ -83,17 +83,17 @@ class Engine {
   }
 
   // Next-trace selection: would the current predictions follow the stored
-  // path of a trace-cache hit of `len` instructions? Pure check — no
+  // path of a trace-cache hit that supplies `hit`? Pure check — no
   // counters, no training; resolution happens when the group retires.
-  bool accepts_trace(sim::FetchPipe& pipe, std::uint32_t len) {
+  bool accepts_trace(const sim::Seq3Group& hit) {
     if (perfect_) return true;
     ReturnAddressStack ras = ras_;
-    sim::FetchPipe::Insn insn;
-    sim::FetchPipe::Insn next;
-    for (std::uint32_t k = 0; k < len; ++k) {
-      if (!pipe.peek(k, insn)) return false;
+    const std::vector<sim::FetchPipe::Insn>& insns = hit.insns;
+    for (std::size_t k = 0; k < insns.size(); ++k) {
+      const sim::FetchPipe::Insn& insn = insns[k];
       if (!insn.is_branch) continue;
-      if (!pipe.peek(k + 1, next)) break;  // trace ends: nothing to diverge
+      std::uint64_t actual_next = 0;
+      if (!next_after(hit, k, &actual_next)) break;  // nothing to diverge
       const std::uint64_t fallthrough = insn.addr + cfg::kInsnBytes;
       std::uint64_t ras_target = 0;
       if (insn.kind == cfg::BlockKind::kReturn) ras_target = ras.pop();
@@ -107,14 +107,14 @@ class Engine {
         }
       }
       if (insn.kind == cfg::BlockKind::kCall) ras.push(fallthrough);
-      if (pred_next != next.addr) return false;
+      if (pred_next != actual_next) return false;
     }
     return true;
   }
 
   // Extends the run-ahead window along the predicted path, then issues up
   // to prefetch_width line prefetches from the queue.
-  void run_ahead(sim::FetchPipe& pipe, std::uint64_t now) {
+  void run_ahead(const sim::FetchPipe& pipe, std::uint64_t now) {
     if (!prefetching()) return;
     fill_scan(pipe);
     issue(now);
@@ -126,6 +126,18 @@ class Engine {
     std::uint32_t insns = 0;   // window instructions mapped onto the entry
     bool issued = false;       // prefetch decision already made
   };
+
+  // The address fetched after instruction `k` of `group`; false when the
+  // trace ends at it.
+  static bool next_after(const sim::Seq3Group& group, std::size_t k,
+                         std::uint64_t* next) {
+    if (k + 1 < group.insns.size()) {
+      *next = group.insns[k + 1].addr;
+      return true;
+    }
+    *next = group.next_addr;
+    return group.has_next;
+  }
 
   bool prefetching() const {
     return fe_.prefetch && !fetch_.perfect_icache && cache_ != nullptr &&
@@ -142,13 +154,7 @@ class Engine {
       const sim::FetchPipe::Insn& insn = insns[k];
       if (!insn.is_branch) continue;  // layout-inserted jumps are free
       std::uint64_t actual_next = 0;
-      if (k + 1 < insns.size()) {
-        actual_next = insns[k + 1].addr;
-      } else if (group.has_next) {
-        actual_next = group.next_addr;
-      } else {
-        break;  // the trace ends at this transfer: nothing to resolve
-      }
+      if (!next_after(group, k, &actual_next)) break;  // nothing to resolve
       const std::uint64_t fallthrough = insn.addr + cfg::kInsnBytes;
 
       // Predict the next fetch address: direction first, then the target
@@ -224,7 +230,7 @@ class Engine {
     spec_ras_ = ras_;
   }
 
-  void fill_scan(sim::FetchPipe& pipe) {
+  void fill_scan(const sim::FetchPipe& pipe) {
     sim::FetchPipe::Insn insn;
     sim::FetchPipe::Insn next;
     while (!blocked_) {

@@ -17,57 +17,83 @@ void FetchResult::export_counters(CounterSet& out) const {
   out.add("tc_probes", tc_probes);
 }
 
-FetchPipe::FetchPipe(const ReplayPlan& plan) : plan_(plan) { refill(1); }
-
-void FetchPipe::refill(std::uint32_t needed_insns) {
-  while (!stream_done_ && buffered_insns_ < needed_insns) {
-    if (next_event_ >= plan_.num_events()) {
-      stream_done_ = true;
-      break;
-    }
-    trace::BlockRun run;
-    plan_.make_run(next_event_++, run);
-    buffered_insns_ += run.insns;
-    buffer_.push_back(run);
-  }
+FetchPipe::FetchPipe(const ReplayPlan& plan)
+    : plan_(plan), num_events_(plan.num_events()) {
+  if (!done()) plan_.make_run(0, run_);
 }
 
 std::uint64_t FetchPipe::addr() const {
-  STC_REQUIRE(!buffer_.empty());
-  const trace::BlockRun& front = buffer_.front();
-  return front.addr + std::uint64_t{front_offset_} * cfg::kInsnBytes;
+  STC_REQUIRE(!done());
+  return run_.addr + std::uint64_t{offset_} * cfg::kInsnBytes;
 }
 
-bool FetchPipe::peek(std::uint32_t k, Insn& out) {
-  refill(front_offset_ + k + 1);
-  std::uint64_t index = front_offset_ + k;
-  for (const trace::BlockRun& run : buffer_) {
-    if (index >= run.insns) {
-      index -= run.insns;
-      continue;
+bool FetchPipe::peek(std::uint32_t k, Insn& out) const {
+  if (done()) return false;
+  std::uint64_t index = std::uint64_t{offset_} + k;
+  trace::BlockRun ahead;
+  const trace::BlockRun* run = &run_;
+  if (index >= run_.insns) {
+    // Skip whole blocks by size alone; materialize only the block that
+    // holds the instruction.
+    index -= run_.insns;
+    std::uint64_t event = event_ + 1;
+    for (;; ++event) {
+      if (event == num_events_) return false;
+      const std::uint32_t insns = plan_.meta().insns(plan_.slab()[event]);
+      if (index < insns) break;
+      index -= insns;
     }
-    out.addr = run.addr + index * cfg::kInsnBytes;
-    out.block_end = index + 1 == run.insns;
-    out.is_branch = out.block_end && run.ends_in_branch;
-    out.taken = out.block_end && run.has_next && run.taken;
-    out.kind = run.kind;
-    return true;
+    plan_.make_run(event, ahead);
+    run = &ahead;
   }
-  return false;
+  out = insn_at(*run, index);
+  return true;
+}
+
+void FetchPipe::peek_group(std::uint32_t len, Seq3Group* group) const {
+  group->insns.clear();
+  group->has_next = false;
+  group->next_addr = 0;
+  if (done()) return;
+  std::uint64_t event = event_;
+  std::uint64_t index = offset_;
+  trace::BlockRun run = run_;
+  for (;;) {
+    if (index == run.insns) {
+      if (++event == num_events_) return;  // the trace ends first
+      plan_.make_run(event, run);
+      index = 0;
+    }
+    if (group->insns.size() == len) {
+      group->has_next = true;
+      group->next_addr = run.addr + index * cfg::kInsnBytes;
+      return;
+    }
+    group->insns.push_back(insn_at(run, index++));
+  }
+}
+
+FetchPipe::Insn FetchPipe::insn_at(const trace::BlockRun& run,
+                                   std::uint64_t index) {
+  Insn insn;
+  insn.addr = run.addr + index * cfg::kInsnBytes;
+  insn.block = run.block;
+  insn.block_end = index + 1 == run.insns;
+  insn.is_branch = insn.block_end && run.ends_in_branch;
+  insn.taken = insn.block_end && run.has_next && run.taken;
+  insn.kind = run.kind;
+  return insn;
 }
 
 void FetchPipe::consume(std::uint32_t n) {
-  refill(front_offset_ + n);
-  STC_REQUIRE(buffered_insns_ >= front_offset_ + n);
-  front_offset_ += n;
-  while (!buffer_.empty() && front_offset_ >= buffer_.front().insns) {
-    front_offset_ -= buffer_.front().insns;
-    buffered_insns_ -= buffer_.front().insns;
-    buffer_.pop_front();
+  std::uint64_t offset = std::uint64_t{offset_} + n;
+  while (!done() && offset >= run_.insns) {
+    offset -= run_.insns;
+    if (++event_ < num_events_) plan_.make_run(event_, run_);
   }
-  // Keep at least one unconsumed instruction buffered (when the stream has
-  // more) so done() reflects true exhaustion.
-  refill(front_offset_ + 1);
+  STC_REQUIRE_MSG(offset == 0 || !done(),
+                  "consumed past the end of the trace");
+  offset_ = static_cast<std::uint32_t>(offset);
 }
 
 Seq3Cycle seq3_fetch_cycle(FetchPipe& pipe, const FetchParams& params,
@@ -101,16 +127,6 @@ Seq3Cycle seq3_fetch_cycle(FetchPipe& pipe, const FetchParams& params,
   cycle.touched_line1 = last_addr >= line_base + line_bytes;
   pipe.consume(cycle.supplied);
   return cycle;
-}
-
-void peek_group(FetchPipe& pipe, std::uint32_t len, Seq3Group* group) {
-  group->insns.clear();
-  FetchPipe::Insn insn;
-  for (std::uint32_t k = 0; k < len && pipe.peek(k, insn); ++k) {
-    group->insns.push_back(insn);
-  }
-  group->has_next = pipe.peek(len, insn);
-  group->next_addr = group->has_next ? insn.addr : 0;
 }
 
 std::uint32_t begin_fetch_run(const FetchParams& params, ICache* cache) {

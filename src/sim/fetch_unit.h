@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "cfg/address_map.h"
@@ -22,18 +21,22 @@
 namespace stc::sim {
 
 class ReplayPlan;  // sim/replay.h
+struct Seq3Group;
 
-// Instruction-granular cursor over the dynamic path with bounded lookahead.
-// Shared by the sequential fetch unit and the trace cache simulator.
+// Instruction-granular cursor over the dynamic path of a ReplayPlan: its
+// state is (event, offset) plus that event's BlockRun. Shared by the
+// sequential fetch unit, the trace cache simulator and the back end.
 //
-// Its one feed is a pre-built ReplayPlan: make_run() materializes each
-// event's BlockRun from flat tables. verify::check_plan_feed proves that
-// feed equals trace::BlockRunStream's, so everything downstream of refill()
-// sees what the per-event walk over the trace would give it.
+// make_run() materializes each event's BlockRun from the plan's flat
+// tables, and verify::check_plan_feed proves that feed equals
+// trace::BlockRunStream's, so everything downstream sees what the
+// per-event walk over the trace would give it. Every block holds at least
+// one instruction, so the cursor never rests on an empty run.
 class FetchPipe {
  public:
   struct Insn {
     std::uint64_t addr = 0;
+    cfg::BlockId block = cfg::kInvalidBlock;  // its block (the event's id)
     bool block_end = false;  // last instruction of its basic block
     bool is_branch = false;  // block_end of a branch/call/return block
     bool taken = false;      // block_end whose transition is non-sequential
@@ -44,25 +47,32 @@ class FetchPipe {
   explicit FetchPipe(const ReplayPlan& plan);
   explicit FetchPipe(ReplayPlan&&) = delete;
 
-  bool done() const { return buffer_.empty(); }
+  bool done() const { return event_ == num_events_; }
   std::uint64_t addr() const;  // current instruction address; requires !done()
 
-  // Looks `k` instructions ahead (k == 0 is the current instruction).
-  // Returns false if the trace ends before that instruction.
-  bool peek(std::uint32_t k, Insn& out);
+  // Looks `k` instructions ahead (k == 0 is the current instruction),
+  // walking the plan forward from the cursor. Returns false if the trace
+  // ends before that instruction.
+  bool peek(std::uint32_t k, Insn& out) const;
+
+  // Copies the next `len` instructions (fewer if the trace ends first) into
+  // *group in one walk from the cursor, without consuming them: the
+  // candidate a trace-cache probe compares against its stored path, and on
+  // a hit the group the request supplies whole.
+  void peek_group(std::uint32_t len, Seq3Group* group) const;
 
   // Consumes `n` instructions; requires that many remain.
   void consume(std::uint32_t n);
 
  private:
-  void refill(std::uint32_t needed_insns);
+  // Instruction `index` of `run`.
+  static Insn insn_at(const trace::BlockRun& run, std::uint64_t index);
 
   const ReplayPlan& plan_;
-  std::uint64_t next_event_ = 0;  // plan cursor
-  std::deque<trace::BlockRun> buffer_;
-  std::uint32_t front_offset_ = 0;  // instructions consumed of buffer_.front()
-  std::uint64_t buffered_insns_ = 0;
-  bool stream_done_ = false;
+  const std::uint64_t num_events_;
+  std::uint64_t event_ = 0;    // the plan event under the cursor
+  std::uint32_t offset_ = 0;   // instructions consumed of run_
+  trace::BlockRun run_;        // plan_.make_run(event_) while !done()
 };
 
 struct FetchParams {
@@ -125,10 +135,6 @@ struct Seq3Group {
 Seq3Cycle seq3_fetch_cycle(FetchPipe& pipe, const FetchParams& params,
                            std::uint32_t line_bytes, Seq3Group* group);
 
-// Copies the next `len` instructions of `pipe` into *group without
-// consuming them (a trace-cache hit supplies them whole).
-void peek_group(FetchPipe& pipe, std::uint32_t len, Seq3Group* group);
-
 // Starts a fetch run: `cache` may be null only with params.perfect_icache,
 // and is reset. Returns the line size fetch requests are cut at.
 std::uint32_t begin_fetch_run(const FetchParams& params, ICache* cache);
@@ -145,9 +151,10 @@ std::uint32_t begin_fetch_run(const FetchParams& params, ICache* cache);
 //   std::uint64_t retire(std::uint32_t supplied, const Seq3Group* group)
 //       the request's instructions have left the pipe; returns the
 //       misprediction bubble cycles (`group` is non-null when resolves());
-//   bool accepts_trace(FetchPipe& pipe, std::uint32_t len)
-//       whether the front end would follow a trace-cache hit of `len`;
-//   void run_ahead(FetchPipe& pipe, std::uint64_t now)
+//   bool accepts_trace(const Seq3Group& hit)
+//       whether the front end would follow a trace-cache hit that supplies
+//       `hit` (its instructions and the address that follows them);
+//   void run_ahead(const FetchPipe& pipe, std::uint64_t now)
 //       runs ahead of fetch once the request's cycles are charged.
 // NoFrontEnd below is the paper's machine; frontend::Engine is the
 // speculative one.
@@ -165,8 +172,8 @@ struct NoFrontEnd {
   std::uint64_t retire(std::uint32_t /*supplied*/, const Seq3Group*) {
     return 0;
   }
-  bool accepts_trace(FetchPipe&, std::uint32_t /*len*/) { return true; }
-  void run_ahead(FetchPipe&, std::uint64_t /*now*/) {}
+  bool accepts_trace(const Seq3Group&) { return true; }
+  void run_ahead(const FetchPipe&, std::uint64_t /*now*/) {}
 };
 
 // One SEQ.3 fetch request at cycle `now`: supplies a group from `pipe`

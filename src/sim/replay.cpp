@@ -7,55 +7,22 @@
 
 namespace stc::sim {
 
-void* ReplayArena::raw_alloc(std::size_t bytes, std::size_t align) {
-  STC_DCHECK(align > 0 && (align & (align - 1)) == 0);
-  for (;;) {
-    if (!slabs_.empty()) {
-      Slab& slab = slabs_.back();
-      const std::size_t aligned = (slab.used + align - 1) & ~(align - 1);
-      if (aligned + bytes <= slab.size) {
-        slab.used = aligned + bytes;
-        bytes_allocated_ += bytes;
-        return slab.data.get() + aligned;
-      }
-    }
-    // Geometric growth; a fresh slab never moves earlier allocations.
-    const std::size_t prev = slabs_.empty() ? 0 : slabs_.back().size;
-    const std::size_t size =
-        std::max({bytes + align, prev * 2, kMinSlabBytes});
-    Slab slab;
-    slab.data = std::make_unique<unsigned char[]>(size);
-    slab.size = size;
-    slabs_.push_back(std::move(slab));
-  }
-}
-
-void ReplayArena::reset() {
-  for (Slab& slab : slabs_) slab.used = 0;
-  bytes_allocated_ = 0;
-}
-
 void BlockMetaTable::build(const cfg::ProgramImage& image,
-                           const cfg::AddressMap& layout, ReplayArena& arena) {
-  size_ = image.num_blocks();
-  std::uint64_t* addr = arena.alloc<std::uint64_t>(size_);
-  std::uint64_t* end_addr = arena.alloc<std::uint64_t>(size_);
-  std::uint32_t* insns = arena.alloc<std::uint32_t>(size_);
-  std::uint8_t* branch = arena.alloc<std::uint8_t>(size_);
-  std::uint8_t* kind = arena.alloc<std::uint8_t>(size_);
-  for (cfg::BlockId b = 0; b < size_; ++b) {
+                           const cfg::AddressMap& layout) {
+  const std::size_t n = image.num_blocks();
+  addr_.assign(n, 0);
+  end_addr_.assign(n, 0);
+  insns_.assign(n, 0);
+  branch_.assign(n, 0);
+  kind_.assign(n, 0);
+  for (cfg::BlockId b = 0; b < n; ++b) {
     const cfg::BlockInfo& info = image.block(b);
-    addr[b] = layout.addr(b);
-    end_addr[b] = addr[b] + std::uint64_t{info.insns} * cfg::kInsnBytes;
-    insns[b] = info.insns;
-    branch[b] = cfg::ends_in_branch(info.kind) ? 1 : 0;
-    kind[b] = static_cast<std::uint8_t>(info.kind);
+    addr_[b] = layout.addr(b);
+    end_addr_[b] = addr_[b] + std::uint64_t{info.insns} * cfg::kInsnBytes;
+    insns_[b] = info.insns;
+    branch_[b] = cfg::ends_in_branch(info.kind) ? 1 : 0;
+    kind_[b] = static_cast<std::uint8_t>(info.kind);
   }
-  addr_ = addr;
-  end_addr_ = end_addr;
-  insns_ = insns;
-  branch_ = branch;
-  kind_ = kind;
 }
 
 void EventSlab::build(const trace::BlockTrace& trace) {
@@ -76,7 +43,7 @@ void EventSlab::adopt(std::vector<cfg::BlockId> events) {
 }
 
 Status CompiledTable::build(const BlockMetaTable& meta,
-                            std::uint32_t line_bytes, ReplayArena& arena) {
+                            std::uint32_t line_bytes) {
   if (line_bytes == 0) return Status::ok();  // layout-only plan
   if (Status s = fault::fail_if("replay.compile",
                                 "building compiled replay tables");
@@ -85,37 +52,30 @@ Status CompiledTable::build(const BlockMetaTable& meta,
   }
   STC_REQUIRE((line_bytes & (line_bytes - 1)) == 0);
   const std::size_t n = meta.size();
-  std::uint64_t* first = arena.alloc<std::uint64_t>(n);
-  std::uint64_t* last = arena.alloc<std::uint64_t>(n);
+  first_line_.assign(n, 0);
+  last_line_.assign(n, 0);
   for (cfg::BlockId b = 0; b < n; ++b) {
-    first[b] = meta.addr(b) / line_bytes;
+    first_line_[b] = meta.addr(b) / line_bytes;
     // Mirrors the reference: the last line is the one holding the block's
     // final instruction byte (end_addr - 1), even for zero-length blocks.
-    last[b] = (meta.end_addr(b) - 1) / line_bytes;
+    last_line_[b] = (meta.end_addr(b) - 1) / line_bytes;
   }
-  first_line_ = first;
-  last_line_ = last;
   line_bytes_ = line_bytes;
   return Status::ok();
 }
 
-void BackendTable::build(const BlockMetaTable& meta, const BackendSpec& spec,
-                         ReplayArena& arena) {
+void BackendTable::build(const BlockMetaTable& meta, const BackendSpec& spec) {
   STC_REQUIRE(spec.enabled);
   const std::size_t n = meta.size();
-  std::uint32_t* latency = arena.alloc<std::uint32_t>(n);
-  std::uint8_t* dest = arena.alloc<std::uint8_t>(n);
-  std::uint8_t* src1 = arena.alloc<std::uint8_t>(n);
-  std::uint8_t* src2 = arena.alloc<std::uint8_t>(n);
+  latency_.assign(n, 0);
+  dest_.assign(n, 0);
+  src1_.assign(n, 0);
+  src2_.assign(n, 0);
   for (cfg::BlockId b = 0; b < n; ++b) {
-    latency[b] = backend_op_latency(spec, meta.insns(b), meta.kind(b));
-    backend_op_regs(meta.addr(b), meta.insns(b), &dest[b], &src1[b],
-                    &src2[b]);
+    latency_[b] = backend_op_latency(spec, meta.insns(b), meta.kind(b));
+    backend_op_regs(meta.addr(b), meta.insns(b), &dest_[b], &src1_[b],
+                    &src2_[b]);
   }
-  latency_ = latency;
-  dest_ = dest;
-  src1_ = src1;
-  src2_ = src2;
   spec_ = spec;
   valid_ = true;
 }
@@ -130,18 +90,16 @@ Result<ReplayPlan> build_replay_plan(ReplayMode mode,
   STC_REQUIRE(slab != nullptr);
   ReplayPlan plan;
   plan.slab_ = std::move(slab);
-  plan.arena_ = std::make_unique<ReplayArena>();
-  plan.meta_.build(image, layout, *plan.arena_);
+  plan.meta_.build(image, layout);
   // One range check here buys unchecked indexing in every hot loop.
   STC_CHECK_MSG(plan.slab_->size() == 0 ||
                     plan.slab_->max_id() < plan.meta_.size(),
                 "trace names blocks outside the program image");
-  if (Status s = plan.compiled_.build(plan.meta_, line_bytes, *plan.arena_);
-      !s.is_ok()) {
+  if (Status s = plan.compiled_.build(plan.meta_, line_bytes); !s.is_ok()) {
     return s.with_context("compiled replay");
   }
   if (backend.enabled) {
-    plan.backend_.build(plan.meta_, backend, *plan.arena_);
+    plan.backend_.build(plan.meta_, backend);
   }
   return plan;
 }

@@ -4,12 +4,13 @@
 // spec): the whole BlockTrace is decoded chunk-by-chunk into one contiguous
 // event slab, and the static per-block facts every simulator asks for
 // (address, size, branch-ness, kind, end address) are resolved once into
-// structure-of-arrays tables allocated from a bump arena. Per-block
-// cache-line membership (first/last line index under a fixed line size)
-// and, with an enabled BackendSpec, the back-end op tables are
-// pre-resolved into flat tables keyed by block id, so the Table 3 inner
-// loop is table lookups plus counter updates. The fetch simulators read
-// the plan one BlockRun at a time through make_run().
+// structure-of-arrays vectors keyed by block id. Per-block cache-line
+// membership (first/last line index under a fixed line size) and, with an
+// enabled BackendSpec, the back-end op tables are pre-resolved the same
+// way, so the Table 3 inner loop is table lookups plus counter updates.
+// The fetch simulators read the plan through sim::FetchPipe, an (event,
+// offset) cursor that materializes one BlockRun at a time with make_run();
+// the back end looks each completed block's op up in the back-end tables.
 //
 // The per-event walk over a BlockTrace (trace::BlockRunStream) survives only
 // as the oracle's reference (src/verify/reference.h). verify::check_plan_feed
@@ -29,13 +30,11 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <tuple>
-#include <type_traits>
 #include <vector>
 
 #include "cfg/address_map.h"
@@ -52,48 +51,13 @@ namespace stc::sim {
 // The kind of plan build_replay_plan makes. Compiled is the only kind.
 enum class ReplayMode { kCompiled };
 
-// Bump allocator backing the replay tables. Allocations live until reset();
-// growing never moves earlier allocations (each growth is a fresh slab).
-// Only trivial types: nothing is destroyed, memory is simply dropped.
-class ReplayArena {
- public:
-  template <typename T>
-  T* alloc(std::size_t count) {
-    static_assert(std::is_trivial_v<T>);
-    if (count == 0) return nullptr;
-    void* p = raw_alloc(count * sizeof(T), alignof(T));
-    std::memset(p, 0, count * sizeof(T));
-    return static_cast<T*>(p);
-  }
-
-  // Discards all allocations but keeps the slabs for reuse.
-  void reset();
-
-  std::size_t bytes_allocated() const { return bytes_allocated_; }
-  std::size_t num_slabs() const { return slabs_.size(); }
-
- private:
-  static constexpr std::size_t kMinSlabBytes = 1 << 16;
-
-  void* raw_alloc(std::size_t bytes, std::size_t align);
-
-  struct Slab {
-    std::unique_ptr<unsigned char[]> data;
-    std::size_t size = 0;
-    std::size_t used = 0;
-  };
-  std::vector<Slab> slabs_;
-  std::size_t bytes_allocated_ = 0;
-};
-
 // Structure-of-arrays static-block metadata: everything BlockRunStream
 // derives per event, resolved once per (image, layout).
 class BlockMetaTable {
  public:
-  void build(const cfg::ProgramImage& image, const cfg::AddressMap& layout,
-             ReplayArena& arena);
+  void build(const cfg::ProgramImage& image, const cfg::AddressMap& layout);
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return addr_.size(); }
   std::uint64_t addr(cfg::BlockId b) const { return addr_[b]; }
   std::uint64_t end_addr(cfg::BlockId b) const { return end_addr_[b]; }
   std::uint32_t insns(cfg::BlockId b) const { return insns_[b]; }
@@ -103,12 +67,11 @@ class BlockMetaTable {
   }
 
  private:
-  std::size_t size_ = 0;
-  const std::uint64_t* addr_ = nullptr;
-  const std::uint64_t* end_addr_ = nullptr;
-  const std::uint32_t* insns_ = nullptr;
-  const std::uint8_t* branch_ = nullptr;
-  const std::uint8_t* kind_ = nullptr;
+  std::vector<std::uint64_t> addr_;
+  std::vector<std::uint64_t> end_addr_;
+  std::vector<std::uint32_t> insns_;
+  std::vector<std::uint8_t> branch_;
+  std::vector<std::uint8_t> kind_;
 };
 
 // The whole trace decoded into one contiguous block-id slab, chunk by chunk
@@ -210,8 +173,7 @@ class CompiledTable {
   // (line_bytes != 0; a layout-only plan builds none, so the oracle's
   // layout-only replay walk never consumes an armed fault). On a fault the
   // table stays invalid and the plan build fails.
-  Status build(const BlockMetaTable& meta, std::uint32_t line_bytes,
-               ReplayArena& arena);
+  Status build(const BlockMetaTable& meta, std::uint32_t line_bytes);
 
   bool valid() const { return line_bytes_ != 0; }
   std::uint32_t line_bytes() const { return line_bytes_; }
@@ -220,8 +182,8 @@ class CompiledTable {
 
  private:
   std::uint32_t line_bytes_ = 0;
-  const std::uint64_t* first_line_ = nullptr;
-  const std::uint64_t* last_line_ = nullptr;
+  std::vector<std::uint64_t> first_line_;
+  std::vector<std::uint64_t> last_line_;
 };
 
 // Compiled back-end tables keyed by block id: op latency and synthetic
@@ -231,8 +193,7 @@ class CompiledTable {
 // ReplayPlanCache key's backend fingerprint component exists to prevent.
 class BackendTable {
  public:
-  void build(const BlockMetaTable& meta, const BackendSpec& spec,
-             ReplayArena& arena);
+  void build(const BlockMetaTable& meta, const BackendSpec& spec);
 
   bool valid() const { return valid_; }
   const BackendSpec& spec() const { return spec_; }
@@ -244,10 +205,10 @@ class BackendTable {
  private:
   bool valid_ = false;
   BackendSpec spec_;
-  const std::uint32_t* latency_ = nullptr;
-  const std::uint8_t* dest_ = nullptr;
-  const std::uint8_t* src1_ = nullptr;
-  const std::uint8_t* src2_ = nullptr;
+  std::vector<std::uint32_t> latency_;
+  std::vector<std::uint8_t> dest_;
+  std::vector<std::uint8_t> src1_;
+  std::vector<std::uint8_t> src2_;
 };
 
 // One compiled replay: the shared event slab and the tables for a specific
@@ -266,6 +227,7 @@ class ReplayPlan {
   // verify::check_plan_feed proves.
   void make_run(std::uint64_t i, trace::BlockRun& out) const {
     const cfg::BlockId b = (*slab_)[static_cast<std::size_t>(i)];
+    out.block = b;
     out.addr = meta_.addr(b);
     out.insns = meta_.insns(b);
     out.ends_in_branch = meta_.ends_in_branch(b);
@@ -288,7 +250,6 @@ class ReplayPlan {
       std::uint32_t line_bytes, const BackendSpec& backend);
 
   std::shared_ptr<const EventSlab> slab_;
-  std::unique_ptr<ReplayArena> arena_;  // stable storage behind the tables
   BlockMetaTable meta_;
   CompiledTable compiled_;
   BackendTable backend_;

@@ -12,18 +12,20 @@ TraceCache::TraceCache(const TraceCacheParams& params) : params_(params) {
   entries_.resize(params.entries);
 }
 
-std::uint32_t TraceCache::probe(std::uint64_t addr, FetchPipe& pipe) const {
+std::uint32_t TraceCache::probe(std::uint64_t addr, const FetchPipe& pipe,
+                                Seq3Group* group) const {
   ++probes_;
   const Entry& entry = entries_[index_of(addr)];
   if (!entry.valid || entry.start != addr) return 0;
   // Perfect multiple-branch prediction: the hit is valid only if the stored
   // path equals the actual upcoming path.
-  FetchPipe::Insn insn;
-  for (std::uint32_t k = 0; k < entry.addrs.size(); ++k) {
-    if (!pipe.peek(k, insn)) return 0;
-    if (insn.addr != entry.addrs[k]) return 0;
+  const auto len = static_cast<std::uint32_t>(entry.addrs.size());
+  pipe.peek_group(len, group);
+  if (group->insns.size() != len) return 0;  // the trace ends first
+  for (std::uint32_t k = 0; k < len; ++k) {
+    if (group->insns[k].addr != entry.addrs[k]) return 0;
   }
-  return static_cast<std::uint32_t>(entry.addrs.size());
+  return len;
 }
 
 void TraceCache::begin_fill(std::uint64_t start_addr) {

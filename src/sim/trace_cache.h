@@ -34,9 +34,12 @@ class TraceCache {
   const TraceCacheParams& params() const { return params_; }
 
   // Probes for a trace starting at `addr` whose stored path matches the
-  // upcoming instructions of `pipe`. Returns the number of instructions the
-  // hit supplies (0 on miss). Does not consume from the pipe.
-  std::uint32_t probe(std::uint64_t addr, FetchPipe& pipe) const;
+  // upcoming instructions of `pipe`. On a tag match the candidate is
+  // captured into *group (FetchPipe::peek_group), so a hit's group is ready
+  // to supply. Returns the number of instructions the hit supplies (0 on
+  // miss). Does not consume from the pipe.
+  std::uint32_t probe(std::uint64_t addr, const FetchPipe& pipe,
+                      Seq3Group* group) const;
 
   // Verification counter: total probe() calls since construction. Every
   // fetch request probes exactly once, and commits can only follow probes,
@@ -91,22 +94,18 @@ FetchResult trace_cache_loop(const ReplayPlan& plan, const FetchParams& params,
   FetchResult result;
   while (!pipe.done()) {
     const std::uint64_t fetch_addr = pipe.addr();
-    std::uint32_t hit_len = tc.probe(fetch_addr, pipe);
-    if (hit_len > 0 && !fe.accepts_trace(pipe, hit_len)) hit_len = 0;
+    std::uint32_t hit_len = tc.probe(fetch_addr, pipe, &group);
+    if (hit_len > 0 && !fe.accepts_trace(group)) hit_len = 0;
     std::uint64_t stall = 0;
     if (hit_len > 0) {
-      // Hit: the whole stored trace is supplied this cycle, with no
-      // i-cache access.
+      // Hit: the whole stored trace, captured by the probe, is supplied
+      // this cycle with no i-cache access.
       ++result.tc_hits;
       ++result.fetch_requests;
       result.instructions += hit_len;
-      const bool capture = fe.resolves() || tc.fill_active();
-      if (capture) {
-        peek_group(pipe, hit_len, &group);
-        for (const FetchPipe::Insn& insn : group.insns) tc.fill_push(insn);
-      }
+      for (const FetchPipe::Insn& insn : group.insns) tc.fill_push(insn);
       pipe.consume(hit_len);
-      stall = fe.retire(hit_len, capture ? &group : nullptr);
+      stall = fe.retire(hit_len, &group);
     } else {
       // Miss: SEQ.3 fetches from the i-cache while the fill buffer builds a
       // new trace starting at this address.

@@ -21,6 +21,7 @@ BlockRunStream::BlockRunStream(const BlockTrace& trace,
 bool BlockRunStream::next(BlockRun& out) {
   if (!have_pending_) return false;
   const cfg::BlockInfo& info = image_.block(pending_);
+  out.block = pending_;
   out.addr = layout_.addr(pending_);
   out.insns = info.insns;
   out.ends_in_branch = cfg::ends_in_branch(info.kind);

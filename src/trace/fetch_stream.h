@@ -22,6 +22,7 @@ namespace stc::trace {
 
 // One dynamic basic block with layout-resolved addresses.
 struct BlockRun {
+  cfg::BlockId block = cfg::kInvalidBlock;  // the event's block id
   std::uint64_t addr = 0;       // start address under the layout
   std::uint32_t insns = 0;      // block size in instructions
   bool ends_in_branch = false;  // last instruction is a control transfer

@@ -267,7 +267,7 @@ Report check_replay(const trace::BlockTrace& trace,
       }
       const bool last = k + 1 == info.insns;
       const std::uint64_t want = addr + std::uint64_t{k} * cfg::kInsnBytes;
-      if (insn.addr != want || insn.block_end != last ||
+      if (insn.addr != want || insn.block != cur || insn.block_end != last ||
           insn.is_branch != (last && cfg::ends_in_branch(info.kind)) ||
           insn.taken != (last && taken)) {
         report.fail("event " + u64(event) + " (" + block_ref(image, cur) +
@@ -929,6 +929,7 @@ std::string run_difference(const trace::BlockRun& got,
   const auto field = [](const char* name, std::uint64_t g, std::uint64_t w) {
     return std::string(name) + " plan " + u64(g) + ", stream " + u64(w);
   };
+  if (got.block != want.block) return field("block", got.block, want.block);
   if (got.addr != want.addr) return field("addr", got.addr, want.addr);
   if (got.insns != want.insns) return field("insns", got.insns, want.insns);
   if (got.ends_in_branch != want.ends_in_branch) {

@@ -180,10 +180,12 @@ backend::BackendParams replay_diff_backend();
 
 // The feed argument: the five fetch-family simulators (SEQ.3, trace cache,
 // both front ends, the back-end pipeline) read nothing of a plan but
-// make_run() and, for the back end, the per-block op tables. So a plan
-// whose make_run(i) equals the i-th BlockRun of a trace::BlockRunStream
-// over (trace, image, layout), field by field and with equal event counts,
-// drives them exactly as the per-event walk would. When `backend` is
+// make_run(), through FetchPipe's cursor, and, for the back end, the
+// block's address, size and op tables at the block id each run carries.
+// So a plan whose make_run(i) equals the i-th BlockRun of a
+// trace::BlockRunStream over (trace, image, layout), field by field (the
+// block id included) and with equal event counts, drives them exactly as
+// the per-event walk would. When `backend` is
 // enabled the plan must carry back-end tables, and every block id in the
 // slab must have the latency and registers that backend_op_latency /
 // backend_op_regs give for its image size and kind and its layout address

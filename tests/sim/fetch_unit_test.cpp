@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cfg/builder.h"
 #include "sim/replay.h"
 #include "testing/plan.h"
@@ -58,6 +61,77 @@ TEST(FetchPipeTest, AddrAdvancesWithinBlock) {
   EXPECT_EQ(pipe.addr(), 4u);
   pipe.consume(2);
   EXPECT_EQ(pipe.addr(), 12u);
+}
+
+TEST(FetchPipeTest, EmptyPlanIsDoneAtConstruction) {
+  Fixture f({{"A", 4, BlockKind::kReturn}});
+  const ReplayPlan plan =
+      testing::make_plan(trace::BlockTrace{}, *f.image, f.layout);
+  const FetchPipe pipe(plan);
+  EXPECT_TRUE(pipe.done());
+  FetchPipe::Insn insn;
+  EXPECT_FALSE(pipe.peek(0, insn));
+}
+
+// Peeks far past the cursor's own run walk one plan event per instruction.
+TEST(FetchPipeTest, PeeksAcrossManyOneInstructionBlocks) {
+  constexpr std::uint32_t kBlocks = 40;
+  std::vector<cfg::BlockDef> defs;
+  for (std::uint32_t i = 0; i < kBlocks; ++i) {
+    defs.push_back({"b" + std::to_string(i), 1,
+                    i + 1 == kBlocks ? BlockKind::kReturn
+                                     : BlockKind::kFallThrough});
+  }
+  Fixture f(std::move(defs));
+  trace::BlockTrace t;
+  for (cfg::BlockId b = 0; b < kBlocks; ++b) t.append(b);
+  const ReplayPlan plan = testing::make_plan(t, *f.image, f.layout);
+  FetchPipe pipe(plan);
+  FetchPipe::Insn insn;
+  for (const std::uint32_t k : {16u, 17u, 31u, kBlocks - 1}) {
+    ASSERT_TRUE(pipe.peek(k, insn)) << k;
+    EXPECT_EQ(insn.addr, std::uint64_t{k} * 4) << k;
+    EXPECT_EQ(insn.block, k) << k;
+    EXPECT_TRUE(insn.block_end) << k;
+  }
+  EXPECT_TRUE(insn.is_branch);  // the last block returns
+  EXPECT_FALSE(pipe.peek(kBlocks, insn));  // one past the last instruction
+  pipe.consume(20);
+  ASSERT_TRUE(pipe.peek(kBlocks - 21, insn));
+  EXPECT_EQ(insn.block, kBlocks - 1);
+  EXPECT_FALSE(pipe.peek(kBlocks - 20, insn));
+}
+
+TEST(FetchPipeTest, ConsumeLandsOnBlockBoundary) {
+  Fixture f({{"A", 4, BlockKind::kFallThrough},
+             {"B", 3, BlockKind::kFallThrough},
+             {"C", 2, BlockKind::kReturn}});
+  trace::BlockTrace t;
+  t.append(0);
+  t.append(1);
+  t.append(2);
+  const ReplayPlan plan = testing::make_plan(t, *f.image, f.layout);
+  FetchPipe pipe(plan);
+  pipe.consume(4);  // exactly A
+  EXPECT_EQ(pipe.addr(), 16u);
+  FetchPipe::Insn insn;
+  ASSERT_TRUE(pipe.peek(0, insn));
+  EXPECT_EQ(insn.block, 1u);
+  pipe.consume(3);  // exactly B
+  EXPECT_EQ(pipe.addr(), 28u);
+  pipe.consume(2);
+  EXPECT_TRUE(pipe.done());
+}
+
+TEST(FetchPipeDeathTest, ConsumingMoreThanRemainsDies) {
+  Fixture f({{"A", 4, BlockKind::kFallThrough}, {"B", 2, BlockKind::kReturn}});
+  trace::BlockTrace t;
+  t.append(0);
+  t.append(1);
+  const ReplayPlan plan = testing::make_plan(t, *f.image, f.layout);
+  FetchPipe pipe(plan);
+  pipe.consume(3);
+  EXPECT_DEATH(pipe.consume(4), "consumed past the end of the trace");
 }
 
 TEST(Seq3Test, SuppliesUpTo16SequentialInstructions) {

@@ -1,7 +1,6 @@
 // Property tests for the replay engine's containers: chunk-batched slab
 // decode (boundary shapes: empty traces, single events, chunk-straddling
-// runs), the bump arena (alignment, zero-fill, pointer stability, reset
-// reuse), compiled-table construction (deterministic across thread counts),
+// runs), compiled-table construction (deterministic across thread counts),
 // and the replay.compile faultpoint's structured, retryable failure.
 #include <gtest/gtest.h>
 
@@ -99,56 +98,6 @@ TEST(EventSlabTest, MaxSizeChunksOfIdenticalIds) {
   for (int i = 0; i < 200000; ++i) trace.append(7);
   ASSERT_GT(trace.num_chunks(), 1u);
   expect_slab_equals_trace(trace);
-}
-
-TEST(ReplayArenaTest, AlignsAndZeroFillsMixedTypes) {
-  ReplayArena arena;
-  std::uint8_t* bytes = arena.alloc<std::uint8_t>(3);
-  std::uint64_t* words = arena.alloc<std::uint64_t>(5);
-  std::uint32_t* ints = arena.alloc<std::uint32_t>(7);
-  ASSERT_NE(bytes, nullptr);
-  ASSERT_NE(words, nullptr);
-  ASSERT_NE(ints, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(words) % alignof(std::uint64_t),
-            0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(ints) % alignof(std::uint32_t),
-            0u);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(bytes[i], 0u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(words[i], 0u);
-  for (int i = 0; i < 7; ++i) EXPECT_EQ(ints[i], 0u);
-  EXPECT_EQ(arena.alloc<std::uint64_t>(0), nullptr);
-}
-
-TEST(ReplayArenaTest, GrowthNeverMovesEarlierAllocations) {
-  ReplayArena arena;
-  // First allocation, then allocations large enough to force fresh slabs.
-  std::uint64_t* first = arena.alloc<std::uint64_t>(16);
-  first[0] = 0xdeadbeefcafe1234ull;
-  first[15] = 42;
-  for (int i = 0; i < 8; ++i) {
-    std::uint64_t* big = arena.alloc<std::uint64_t>(1 << 15);
-    ASSERT_NE(big, nullptr);
-    big[0] = static_cast<std::uint64_t>(i);
-  }
-  EXPECT_GT(arena.num_slabs(), 1u);
-  // The first slab's contents survived every growth.
-  EXPECT_EQ(first[0], 0xdeadbeefcafe1234ull);
-  EXPECT_EQ(first[15], 42u);
-}
-
-TEST(ReplayArenaTest, ResetKeepsSlabsAndReusesMemory) {
-  ReplayArena arena;
-  (void)arena.alloc<std::uint64_t>(1000);
-  const std::size_t slabs_before = arena.num_slabs();
-  EXPECT_GT(arena.bytes_allocated(), 0u);
-  arena.reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  EXPECT_EQ(arena.num_slabs(), slabs_before);
-  // Fresh allocations after reset are zeroed again even though the memory
-  // was previously written.
-  std::uint64_t* again = arena.alloc<std::uint64_t>(1000);
-  for (int i = 0; i < 1000; ++i) ASSERT_EQ(again[i], 0u);
-  EXPECT_EQ(arena.num_slabs(), slabs_before);  // reused, not regrown
 }
 
 // Compiled-table construction is pure: plans built concurrently from many

@@ -80,7 +80,9 @@ TEST_P(SimPropertyTest, Seq3ConservesInstructionsAndBoundsIpc) {
   EXPECT_EQ(result.instructions, expected_insns);
   EXPECT_GE(result.cycles, result.fetch_requests);
   EXPECT_LE(result.ipc(), static_cast<double>(params.width));
-  if (expected_insns > 0) EXPECT_GT(result.ipc(), 0.0);
+  if (expected_insns > 0) {
+    EXPECT_GT(result.ipc(), 0.0);
+  }
   // Stall accounting: cycles = requests + penalty * missed requests.
   EXPECT_EQ(result.cycles,
             result.fetch_requests + params.miss_penalty * result.miss_requests);

@@ -152,8 +152,9 @@ TEST(TraceCacheUnitTest, ProbeChecksTagAndPath) {
   t.append(f.B);
   const ReplayPlan plan = testing::make_plan(t, *f.image, f.layout);
   FetchPipe pipe(plan);
+  Seq3Group group;
   // Nothing stored yet.
-  EXPECT_EQ(tc.probe(pipe.addr(), pipe), 0u);
+  EXPECT_EQ(tc.probe(pipe.addr(), pipe, &group), 0u);
   // Fill a trace for address of A covering A then B.
   tc.begin_fill(pipe.addr());
   FetchPipe::Insn insn;
@@ -177,14 +178,14 @@ TEST(TraceCacheUnitTest, ProbeChecksTagAndPath) {
   EXPECT_FALSE(tc.fill_active());
   EXPECT_EQ(tc.stored_traces(), 1u);
   // Probe with the matching path: 12-instruction hit.
-  EXPECT_EQ(tc.probe(pipe2.addr(), pipe2), 12u);
+  EXPECT_EQ(tc.probe(pipe2.addr(), pipe2, &group), 12u);
   // Probe with a mismatching path (A -> C): miss.
   trace::BlockTrace t3;
   t3.append(f.A);
   t3.append(f.C);
   const ReplayPlan plan3 = testing::make_plan(t3, *f.image, f.layout);
   FetchPipe pipe3(plan3);
-  EXPECT_EQ(tc.probe(pipe3.addr(), pipe3), 0u);
+  EXPECT_EQ(tc.probe(pipe3.addr(), pipe3, &group), 0u);
 }
 
 TEST(TraceCacheUnitTest, FillStopsAtWidthLimit) {

@@ -138,7 +138,7 @@ TEST(ThreadPoolTest, MixedDurationStress) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       } else if (i % 5 == 0) {
         volatile std::uint64_t spin = 0;
-        for (int k = 0; k < 1000; ++k) spin += k;
+        for (int k = 0; k < 1000; ++k) spin = spin + k;
       }
       ++hits[i];
     });

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "cfg/builder.h"
+#include "sim/replay.h"
+#include "testing/plan.h"
 #include "verify/reference.h"
 
 namespace stc::trace {
@@ -83,6 +87,25 @@ TEST(BlockRunStreamTest, EmptyTrace) {
   const auto layout = cfg::AddressMap::original(*f.image);
   BlockRunStream stream(t, *f.image, layout);
   BlockRun run;
+  EXPECT_FALSE(stream.next(run));
+}
+
+// The stream and a plan over the same trace both name the i-th event's block.
+TEST(BlockRunStreamTest, RunsCarryTheEventBlock) {
+  Fixture f;
+  BlockTrace t;
+  const cfg::BlockId events[] = {f.A, f.C, f.B, f.A, f.B};
+  for (const cfg::BlockId b : events) t.append(b);
+  const auto layout = cfg::AddressMap::original(*f.image);
+  const sim::ReplayPlan plan = testing::make_plan(t, *f.image, layout);
+  BlockRunStream stream(t, *f.image, layout);
+  BlockRun run;
+  for (std::size_t i = 0; i < std::size(events); ++i) {
+    ASSERT_TRUE(stream.next(run));
+    EXPECT_EQ(run.block, events[i]) << i;
+    plan.make_run(i, run);
+    EXPECT_EQ(run.block, events[i]) << i;
+  }
   EXPECT_FALSE(stream.next(run));
 }
 

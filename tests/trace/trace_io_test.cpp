@@ -260,9 +260,8 @@ TEST_F(TraceIoTest, StreamedReplayKeepsResidentMemoryBounded) {
   Rng rng(7);
   const auto image = testing::random_image(rng, 20000);
   const cfg::AddressMap layout = cfg::AddressMap::original(*image);
-  sim::ReplayArena arena;
   sim::BlockMetaTable meta;
-  meta.build(*image, layout, arena);
+  meta.build(*image, layout);
   {
     // Ids scattered over the whole image code to 2-3 byte deltas, so 26M
     // events make a file of about 70 MB.

@@ -7,8 +7,7 @@
 // measurement cell (bench::measure_seq3_backend), so any change to the
 // cell's metric set, counter order, or meta keys shows up as a golden
 // diff. Regenerate with
-//   STC_UPDATE_GOLDEN=1 ./build/tests/stc_verify_test \
-//       --gtest_filter=BackendSchemaTest.*
+//   STC_UPDATE_GOLDEN=1 ./build/tests/stc_verify_test --gtest_filter=BackendSchemaTest.*
 #include <gtest/gtest.h>
 
 #include <memory>

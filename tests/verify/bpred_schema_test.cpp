@@ -8,8 +8,7 @@
 // plain fetch + cache counters (the Table 4 schema, unchanged), a realistic
 // row adds the mpki metric and the twelve front-end counters. Regenerate
 // with
-//   STC_UPDATE_GOLDEN=1 ./build/tests/stc_verify_test \
-//       --gtest_filter=BpredSchemaTest.*
+//   STC_UPDATE_GOLDEN=1 ./build/tests/stc_verify_test --gtest_filter=BpredSchemaTest.*
 #include <gtest/gtest.h>
 
 #include <memory>

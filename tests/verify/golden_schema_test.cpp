@@ -5,8 +5,7 @@
 // (tests/testing/golden_compare.h); wall-clock-derived fields (the replay
 // phase and throughput rates) need only be present, numeric and sane.
 // Regenerate the golden with
-//   STC_UPDATE_GOLDEN=1 ./build/tests/stc_verify_test \
-//       --gtest_filter=GoldenSchemaTest.*
+//   STC_UPDATE_GOLDEN=1 ./build/tests/stc_verify_test --gtest_filter=GoldenSchemaTest.*
 // and review the diff — any change here is a report-consumer-visible change.
 #include <gtest/gtest.h>
 

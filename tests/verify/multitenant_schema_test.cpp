@@ -8,8 +8,7 @@
 // SEQ.3 IPC merge). The per-tenant metric/counter names (miss_pct_t<i>,
 // t<i>_misses, worst_miss_pct) are report-consumer-visible — a change here
 // changes what EXPERIMENTS.md documents. Regenerate with
-//   STC_UPDATE_GOLDEN=1 ./build/tests/stc_verify_test \
-//       --gtest_filter=MultitenantSchemaTest.*
+//   STC_UPDATE_GOLDEN=1 ./build/tests/stc_verify_test --gtest_filter=MultitenantSchemaTest.*
 #include <gtest/gtest.h>
 
 #include <memory>

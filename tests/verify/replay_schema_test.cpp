@@ -11,8 +11,7 @@
 // the "blocks" event count that schema v3's throughput.events_per_sec is
 // derived from. tools/perf_gate.py parses
 // this schema — a change here is a perf-gate-visible change. Regenerate with
-//   STC_UPDATE_GOLDEN=1 ./build/tests/stc_verify_test \
-//       --gtest_filter=ReplaySchemaTest.*
+//   STC_UPDATE_GOLDEN=1 ./build/tests/stc_verify_test --gtest_filter=ReplaySchemaTest.*
 #include <gtest/gtest.h>
 
 #include <memory>
