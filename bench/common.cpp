@@ -10,7 +10,6 @@
 
 #include "support/check.h"
 #include "support/env.h"
-#include "trace/fetch_stream.h"
 #include "verify/oracle.h"
 #include "verify/reference.h"
 
@@ -231,46 +230,32 @@ ExperimentResult measure_tenant_miss(const workload::ComposedTrace& composed,
                                      const sim::CacheGeometry& geometry) {
   const trace::BlockTrace& trace = composed.trace;
   if (verify_enabled()) verify_triple(trace, image, layout);
-  const std::uint32_t line = geometry.line_bytes;
+  const sim::ReplayPlan& plan =
+      plan_for(trace, image, layout, geometry.line_bytes);
+  // One kernel pass over the slab, cut at the provenance segments: span by
+  // span with one carried state is exactly one pass (sim::replay_detail),
+  // so each tenant accumulates precisely the probes its events made.
   sim::ICache cache(geometry);
-  struct TenantStats {
-    std::uint64_t instructions = 0;
-    std::uint64_t accesses = 0;
-    std::uint64_t misses = 0;
-  };
-  std::vector<TenantStats> per(composed.tenant_events.size());
-  TenantStats total;
-  // Mirrors verify::reference_missrate line-crossing semantics exactly (the
-  // aggregate counters must equal a plain run over the composed trace); the
-  // extra state is the provenance-segment cursor selecting the charged
-  // tenant.
-  trace::BlockRunStream stream(trace, image, layout);
-  trace::BlockRun run;
-  std::size_t seg = 0;
-  std::uint64_t seg_left =
-      composed.segments.empty() ? 0 : composed.segments[0].events;
-  std::uint64_t prev_line = ~std::uint64_t{0};
-  while (stream.next(run)) {
-    while (seg_left == 0 && seg + 1 < composed.segments.size()) {
-      seg_left = composed.segments[++seg].events;
-    }
-    STC_CHECK_MSG(seg_left > 0, "composed trace outruns its segments");
-    --seg_left;
-    TenantStats& t = per[composed.segments[seg].tenant];
-    t.instructions += run.insns;
-    total.instructions += run.insns;
-    const std::uint64_t first = run.addr / line;
-    const std::uint64_t last = (run.end_addr() - 1) / line;
-    for (std::uint64_t l = first; l <= last; ++l) {
-      if (l == prev_line) continue;
-      ++t.accesses;
-      ++total.accesses;
-      if (!cache.access(l * line)) {
-        ++t.misses;
-        ++total.misses;
-      }
-      prev_line = l;
-    }
+  sim::replay_detail::MissSpanState state;
+  std::vector<sim::MissRateResult> per(composed.tenant_events.size());
+  std::uint64_t offset = 0;
+  for (const workload::TenantSegment& seg : composed.segments) {
+    STC_CHECK_MSG(seg.events <= plan.num_events() - offset,
+                  "provenance segments outrun the composed trace");
+    STC_CHECK(seg.tenant < per.size());
+    sim::replay_detail::missrate_span(
+        plan.slab().data() + offset, static_cast<std::size_t>(seg.events),
+        plan.meta(), &plan.compiled(), geometry.line_bytes, cache, nullptr,
+        state, per[seg.tenant]);
+    offset += seg.events;
+  }
+  STC_CHECK_MSG(offset == plan.num_events(),
+                "composed trace outruns its segments");
+  sim::MissRateResult total;
+  for (const sim::MissRateResult& t : per) {
+    total.instructions += t.instructions;
+    total.line_accesses += t.line_accesses;
+    total.misses += t.misses;
   }
   if (verify_enabled()) {
     // Independent recount: the attributed totals must match a plain
@@ -278,26 +263,24 @@ ExperimentResult measure_tenant_miss(const workload::ComposedTrace& composed,
     sim::ICache ref(geometry);
     const auto r = verify::reference_missrate(trace, image, layout, ref);
     STC_CHECK_MSG(r.instructions == total.instructions &&
-                      r.line_accesses == total.accesses &&
+                      r.line_accesses == total.line_accesses &&
                       r.misses == total.misses,
                   "tenant-attributed counters diverge from the reference");
   }
-  auto pct = [](const TenantStats& t) {
-    return t.instructions == 0 ? 0.0
-                               : 100.0 * static_cast<double>(t.misses) /
-                                     static_cast<double>(t.instructions);
-  };
   ExperimentResult result;
-  result.metric("miss_pct", pct(total));
+  result.metric("miss_pct", total.misses_per_100_insns());
   double worst = 0.0;
   for (std::size_t i = 0; i < per.size(); ++i) {
-    result.metric("miss_pct_t" + std::to_string(i), pct(per[i]));
-    result.counters().add("t" + std::to_string(i) + "_misses", per[i].misses);
-    worst = std::max(worst, pct(per[i]));
+    const std::string tenant = std::to_string(i);
+    result.metric(std::string("miss_pct_t").append(tenant),
+                  per[i].misses_per_100_insns());
+    result.counters().add(std::string("t").append(tenant).append("_misses"),
+                          per[i].misses);
+    worst = std::max(worst, per[i].misses_per_100_insns());
   }
   result.metric("worst_miss_pct", worst);
   result.counters().add("instructions", total.instructions);
-  result.counters().add("line_accesses", total.accesses);
+  result.counters().add("line_accesses", total.line_accesses);
   result.counters().add("misses", total.misses);
   result.counters().add("blocks", trace.num_events());
   return result;
@@ -649,24 +632,6 @@ ExperimentResult measure_seq3_backend(Setup& setup,
                                       bool perfect) {
   return measure_seq3_backend(setup.test_trace(), setup.image(), layout,
                               geometry, fe, bp, perfect);
-}
-
-double miss_pct(Setup& setup, const cfg::AddressMap& layout,
-                const sim::CacheGeometry& geometry,
-                std::uint32_t victim_lines) {
-  return measure_miss(setup, layout, geometry, victim_lines)
-      .metric("miss_pct");
-}
-
-double seq3_ipc(Setup& setup, const cfg::AddressMap& layout,
-                const sim::CacheGeometry& geometry, bool perfect) {
-  return measure_seq3(setup, layout, geometry, perfect).metric("ipc");
-}
-
-double tc_ipc(Setup& setup, const cfg::AddressMap& layout,
-              const sim::CacheGeometry& geometry,
-              const sim::TraceCacheParams& tc, bool perfect) {
-  return measure_tc(setup, layout, geometry, tc, perfect).metric("ipc");
 }
 
 void print_banner(const char* title, const Env& env, const Setup& setup) {

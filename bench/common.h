@@ -203,13 +203,16 @@ ExperimentResult measure_seq3_backend(const trace::BlockTrace& trace,
                                       bool perfect = false);
 
 // Tenant-attributed miss rate over a composed multi-tenant trace
-// (src/workload): one pass through a shared cache, attributing every line
-// probe, miss and instruction to the tenant whose provenance segment covers
-// the event. Metrics: "miss_pct" (aggregate, equal to measure_miss on the
+// (src/workload). Replays the composed trace's memoized plan (plan_for)
+// through one shared cache with the missrate span kernel, one span per
+// provenance segment, and charges each span's line probes, misses and
+// instructions to the segment's tenant. The segments must cover the trace
+// exactly. Metrics: "miss_pct" (aggregate, equal to measure_miss on the
 // composed trace), "miss_pct_t<i>" per tenant, and "worst_miss_pct" (the
 // highest per-tenant rate) — the fairness number the tenant-partitioned CFA
-// targets. Under STC_VERIFY the per-tenant counters are re-summed against
-// an independent verify::reference_missrate pass.
+// targets. Counters: "instructions", "line_accesses", "misses",
+// "t<i>_misses" and "blocks". Under STC_VERIFY the summed counters are
+// checked against an independent verify::reference_missrate pass.
 ExperimentResult measure_tenant_miss(const workload::ComposedTrace& composed,
                                      const cfg::ProgramImage& image,
                                      const cfg::AddressMap& layout,
@@ -275,16 +278,6 @@ ExperimentResult measure_reference_cell(const trace::BlockTrace& trace,
                                         const cfg::AddressMap& layout,
                                         const sim::CacheGeometry& geometry,
                                         ReplaySimKind sim_kind);
-
-// Convenience wrappers extracting the single headline metric.
-double miss_pct(Setup& setup, const cfg::AddressMap& layout,
-                const sim::CacheGeometry& geometry,
-                std::uint32_t victim_lines = 0);
-double seq3_ipc(Setup& setup, const cfg::AddressMap& layout,
-                const sim::CacheGeometry& geometry, bool perfect = false);
-double tc_ipc(Setup& setup, const cfg::AddressMap& layout,
-              const sim::CacheGeometry& geometry,
-              const sim::TraceCacheParams& tc, bool perfect = false);
 
 // ---- Reporting -------------------------------------------------------------
 

@@ -223,7 +223,7 @@ int main() {
     for (int s = 0; s < 2; ++s) {
       const double interp = runner.metric_or(jobs[f][s][0], "events_per_sec");
       const double fast = runner.metric_or(jobs[f][s][1], "events_per_sec");
-      table.row({"x" + std::to_string(factors[f]),
+      table.row({std::string("x").append(std::to_string(factors[f])),
                  fmt_fixed(runner.metric_or(jobs[f][s][1], "file_mb"), 1),
                  sims[s], fmt_fixed(interp, 0), fmt_fixed(fast, 0),
                  fmt_fixed(interp > 0 ? fast / interp : 0.0, 2),

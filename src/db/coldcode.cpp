@@ -122,7 +122,7 @@ void register_coldcode_routines(cfg::ProgramImage& im, cfg::ModuleId m) {
       const BlockKind kind = b % 5 == 0 ? kCall : (b % 2 == 0 ? kFall : kBr);
       const std::uint16_t insns = static_cast<std::uint16_t>(4 + (b * 7) % 19);
       // A fall-through block must precede another non-return block.
-      blocks.push_back({"b" + std::to_string(b),
+      blocks.push_back({std::string("b").append(std::to_string(b)),
                         insns,
                         b + 2 == routine.blocks ? kBr : kind});
     }

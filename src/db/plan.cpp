@@ -48,14 +48,16 @@ void explain_into(const PlanNode& node, int depth, std::string& out) {
   }
   if (node.kind == PlanKind::kIndexScan && node.lo.has_value() &&
       node.hi.has_value() && node.lo->compare(*node.hi) == 0) {
-    out += " (key = " + node.lo->to_string() + ")";
+    out.append(" (key = ").append(node.lo->to_string()).append(")");
   }
   if (node.kind == PlanKind::kAggregate) {
-    out += " groups=" + std::to_string(node.group_cols.size()) +
-           " aggs=" + std::to_string(node.aggs.size());
+    out.append(" groups=")
+        .append(std::to_string(node.group_cols.size()))
+        .append(" aggs=")
+        .append(std::to_string(node.aggs.size()));
   }
   if (node.kind == PlanKind::kLimit) {
-    out += " " + std::to_string(node.limit);
+    out.append(" ").append(std::to_string(node.limit));
   }
   out += "\n";
   for (const auto& child : node.children) {

@@ -94,20 +94,7 @@ class Engine {
       if (!insn.is_branch) continue;
       std::uint64_t actual_next = 0;
       if (!next_after(hit, k, &actual_next)) break;  // nothing to diverge
-      const std::uint64_t fallthrough = insn.addr + cfg::kInsnBytes;
-      std::uint64_t ras_target = 0;
-      if (insn.kind == cfg::BlockKind::kReturn) ras_target = ras.pop();
-      std::uint64_t pred_next = fallthrough;
-      if (pred_->predict(insn.addr)) {
-        if (insn.kind == cfg::BlockKind::kReturn) {
-          pred_next = ras_target != 0 ? ras_target : fallthrough;
-        } else {
-          std::uint64_t target = 0;
-          if (btb_.lookup(insn.addr, &target)) pred_next = target;
-        }
-      }
-      if (insn.kind == cfg::BlockKind::kCall) ras.push(fallthrough);
-      if (pred_next != actual_next) return false;
+      if (predict_next(insn, ras, nullptr) != actual_next) return false;
     }
     return true;
   }
@@ -144,6 +131,40 @@ class Engine {
            fe_.ftq_depth > 0;
   }
 
+  // Predicts the address fetched after branch `insn`: the direction first,
+  // then the target from `ras` for a return or the BTB otherwise. Pops
+  // `ras` for a return and pushes the fall-through for a call. Counts RAS
+  // and BTB activity into `counted` when it is non-null.
+  std::uint64_t predict_next(const sim::FetchPipe::Insn& insn,
+                             ReturnAddressStack& ras,
+                             FrontEndStats* counted) {
+    const std::uint64_t fallthrough = insn.addr + cfg::kInsnBytes;
+    std::uint64_t ras_target = 0;
+    if (insn.kind == cfg::BlockKind::kReturn) {
+      ras_target = ras.pop();
+      if (counted != nullptr) ++counted->ras_pops;
+    }
+    std::uint64_t pred_next = fallthrough;
+    if (pred_->predict(insn.addr)) {
+      if (insn.kind == cfg::BlockKind::kReturn) {
+        if (ras_target != 0) pred_next = ras_target;
+      } else {
+        if (counted != nullptr) ++counted->btb_lookups;
+        std::uint64_t target = 0;
+        if (btb_.lookup(insn.addr, &target)) {
+          pred_next = target;
+        } else if (counted != nullptr) {
+          ++counted->btb_misses;
+        }
+      }
+    }
+    if (insn.kind == cfg::BlockKind::kCall) {
+      ras.push(fallthrough);
+      if (counted != nullptr) ++counted->ras_pushes;
+    }
+    return pred_next;
+  }
+
   // Resolves every control transfer of a retired fetch group against the
   // committed predictor state, training as it goes. Returns the bubble
   // cycles charged for mispredictions.
@@ -155,38 +176,12 @@ class Engine {
       if (!insn.is_branch) continue;  // layout-inserted jumps are free
       std::uint64_t actual_next = 0;
       if (!next_after(group, k, &actual_next)) break;  // nothing to resolve
-      const std::uint64_t fallthrough = insn.addr + cfg::kInsnBytes;
 
-      // Predict the next fetch address: direction first, then the target
-      // from the RAS (returns) or the BTB (everything else).
       ++stats_->bp_lookups;
-      std::uint64_t ras_target = 0;
-      if (insn.kind == cfg::BlockKind::kReturn) {
-        ras_target = ras_.pop();
-        ++stats_->ras_pops;
-      }
-      const bool pred_taken = pred_->predict(insn.addr);
-      std::uint64_t pred_next = fallthrough;
-      if (pred_taken) {
-        if (insn.kind == cfg::BlockKind::kReturn) {
-          pred_next = ras_target != 0 ? ras_target : fallthrough;
-        } else {
-          ++stats_->btb_lookups;
-          std::uint64_t target = 0;
-          if (btb_.lookup(insn.addr, &target)) {
-            pred_next = target;
-          } else {
-            ++stats_->btb_misses;
-          }
-        }
-      }
+      const std::uint64_t pred_next = predict_next(insn, ras_, stats_);
 
       // Train on the resolved outcome along the actual path.
       pred_->update(insn.addr, insn.taken);
-      if (insn.kind == cfg::BlockKind::kCall) {
-        ras_.push(fallthrough);
-        ++stats_->ras_pushes;
-      }
       if (insn.taken && insn.kind != cfg::BlockKind::kReturn) {
         btb_.update(insn.addr, actual_next);
       }
@@ -247,20 +242,7 @@ class Engine {
       // Speculative prediction with frozen tables and a private RAS copy;
       // a divergence from the trace means the machine would fetch the wrong
       // path from here — stop until the branch resolves.
-      const std::uint64_t fallthrough = insn.addr + cfg::kInsnBytes;
-      std::uint64_t ras_target = 0;
-      if (insn.kind == cfg::BlockKind::kReturn) ras_target = spec_ras_.pop();
-      std::uint64_t pred_next = fallthrough;
-      if (pred_->predict(insn.addr)) {
-        if (insn.kind == cfg::BlockKind::kReturn) {
-          pred_next = ras_target != 0 ? ras_target : fallthrough;
-        } else {
-          std::uint64_t target = 0;
-          if (btb_.lookup(insn.addr, &target)) pred_next = target;
-        }
-      }
-      if (insn.kind == cfg::BlockKind::kCall) spec_ras_.push(fallthrough);
-      if (pred_next != next.addr) {
+      if (predict_next(insn, spec_ras_, nullptr) != next.addr) {
         blocked_ = true;
         blocked_offset_ = static_cast<std::int64_t>(scan_offset_) - 1;
       }

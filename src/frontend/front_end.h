@@ -40,6 +40,7 @@
 #include "sim/fetch_unit.h"
 #include "sim/icache.h"
 #include "sim/trace_cache.h"
+#include "support/error.h"
 #include "support/stats.h"
 
 namespace stc::frontend {

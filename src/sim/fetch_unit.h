@@ -28,10 +28,10 @@ struct Seq3Group;
 // sequential fetch unit, the trace cache simulator and the back end.
 //
 // make_run() materializes each event's BlockRun from the plan's flat
-// tables, and verify::check_plan_feed proves that feed equals
-// trace::BlockRunStream's, so everything downstream sees what the
-// per-event walk over the trace would give it. Every block holds at least
-// one instruction, so the cursor never rests on an empty run.
+// tables, and verify::check_plan_feed proves that feed equals the oracle's
+// per-event reference feed (verify/reference.h), so everything downstream
+// sees what the per-event walk over the trace would give it. Every block
+// holds at least one instruction, so the cursor never rests on an empty run.
 class FetchPipe {
  public:
   struct Insn {

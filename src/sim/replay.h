@@ -12,10 +12,10 @@
 // offset) cursor that materializes one BlockRun at a time with make_run();
 // the back end looks each completed block's op up in the back-end tables.
 //
-// The per-event walk over a BlockTrace (trace::BlockRunStream) survives only
-// as the oracle's reference (src/verify/reference.h). verify::check_plan_feed
+// The per-event walk over a BlockTrace survives only as the oracle's
+// reference feed (src/verify/reference.h). verify::check_plan_feed
 // proves that make_run() yields exactly what that walk yields and that the
-// back-end tables equal the BackendSpec helpers, and check_replay_modes
+// back-end tables equal the BackendSpec helpers, and check_plan_replay
 // compares the missrate/sequentiality kernels against the references;
 // tools/stc_fuzz --replay-diff hunts for divergences. The compiled-table
 // build runs through faultpoint "replay.compile": a fault fails the plan
@@ -51,8 +51,8 @@ namespace stc::sim {
 // The kind of plan build_replay_plan makes. Compiled is the only kind.
 enum class ReplayMode { kCompiled };
 
-// Structure-of-arrays static-block metadata: everything BlockRunStream
-// derives per event, resolved once per (image, layout).
+// Structure-of-arrays static-block metadata: every static fact a BlockRun
+// carries, resolved once per (image, layout).
 class BlockMetaTable {
  public:
   void build(const cfg::ProgramImage& image, const cfg::AddressMap& layout);
@@ -222,9 +222,9 @@ class ReplayPlan {
   const CompiledTable& compiled() const { return compiled_; }
   const BackendTable& backend() const { return backend_; }
 
-  // Materializes event `i` as exactly the BlockRun trace::BlockRunStream
-  // would produce — the contract FetchPipe rests on and
-  // verify::check_plan_feed proves.
+  // Materializes event `i` as exactly the BlockRun the oracle's per-event
+  // reference feed (verify/reference.h) would produce — the contract
+  // FetchPipe rests on and verify::check_plan_feed proves.
   void make_run(std::uint64_t i, trace::BlockRun& out) const {
     const cfg::BlockId b = (*slab_)[static_cast<std::size_t>(i)];
     out.block = b;
@@ -301,10 +301,13 @@ class ReplayPlanCache {
   std::map<Key, std::unique_ptr<const ReplayPlan>> plans_;
 };
 
-// Span kernels behind the replay loops, exposed so tests can pin them over
-// arbitrary span lengths. Each kernel consumes a raw event range and carries
-// explicit state, so feeding a slab in one span or chunk-by-chunk composes
-// to exactly the same counter and cache-access sequence.
+// Span kernels behind the replay loops. Each kernel consumes a raw event
+// range and carries explicit state, so feeding a slab in one span or
+// chunk-by-chunk composes to exactly the same counter and cache-access
+// sequence. They are exposed for two callers besides the replay loops:
+// tests pin them over arbitrary span lengths, and bench::measure_tenant_miss
+// feeds missrate_span one provenance segment at a time, charging each
+// span's counters to the segment's tenant.
 namespace replay_detail {
 
 struct MissSpanState {

@@ -1,7 +1,8 @@
-// Adapter from a recorded block trace plus a code layout to the BlockRuns
-// the architecture simulators consume. The simulators read them from a
-// replay plan (sim/replay.h); BlockRunStream is the per-event walk the plan
-// must reproduce, read by the oracle (src/verify).
+// The dynamic basic block the architecture simulators consume, with its
+// addresses resolved under a code layout. The simulators get BlockRuns from
+// a replay plan (sim/replay.h). The per-event walk over a BlockTrace that a
+// plan must reproduce is one of the oracle's reference implementations and
+// lives with them in src/verify/reference.h.
 //
 // Taken-branch semantics follow the paper's simulation methodology: block
 // sizes never change across layouts, and a dynamic transition A -> B is
@@ -13,10 +14,8 @@
 
 #include <cstdint>
 
-#include "cfg/address_map.h"
 #include "cfg/program.h"
 #include "support/stats.h"
-#include "trace/block_trace.h"
 
 namespace stc::trace {
 
@@ -34,25 +33,6 @@ struct BlockRun {
   std::uint64_t end_addr() const {
     return addr + std::uint64_t{insns} * cfg::kInsnBytes;
   }
-};
-
-// Pull-based stream of BlockRuns with one-block lookahead: the reference
-// feed that ReplayPlan::make_run is checked against
-// (verify::check_plan_feed).
-class BlockRunStream {
- public:
-  BlockRunStream(const BlockTrace& trace, const cfg::ProgramImage& image,
-                 const cfg::AddressMap& layout);
-
-  // Fills `out` with the next run; returns false when the trace is exhausted.
-  bool next(BlockRun& out);
-
- private:
-  const cfg::ProgramImage& image_;
-  const cfg::AddressMap& layout_;
-  BlockTrace::Cursor cursor_;
-  bool have_pending_ = false;
-  cfg::BlockId pending_ = cfg::kInvalidBlock;
 };
 
 // Summary statistics that depend only on trace + layout (no cache model).

@@ -122,12 +122,13 @@ BuiltCase build_case(const FuzzCase& c) {
     std::vector<cfg::BlockDef> blocks;
     blocks.reserve(c.routines[r].blocks.size());
     for (std::size_t b = 0; b < c.routines[r].blocks.size(); ++b) {
-      blocks.push_back({"r" + std::to_string(r) + "_b" + std::to_string(b),
+      blocks.push_back({std::string("r").append(std::to_string(r)) + "_b" +
+                            std::to_string(b),
                         c.routines[r].blocks[b].insns,
                         c.routines[r].blocks[b].kind});
     }
-    builder.routine("r" + std::to_string(r), mod, std::move(blocks),
-                    c.routines[r].executor_op);
+    builder.routine(std::string("r").append(std::to_string(r)), mod,
+                    std::move(blocks), c.routines[r].executor_op);
   }
   built.image = builder.build();
 
@@ -345,7 +346,7 @@ Report run_replay_diff(const FuzzCase& c) {
     cfg::AddressMap layout =
         core::make_layout(kind, built.wcfg, c.cache_bytes, c.cfa_bytes);
     all.merge(
-        check_replay_modes(built.trace, *built.image, layout, geometry, &bp),
+        check_plan_replay(built.trace, *built.image, layout, geometry, &bp),
         core::to_string(kind));
   }
   return all;
@@ -463,7 +464,7 @@ Report run_multitenant_diff(const FuzzCase& c) {
        {core::LayoutKind::kOrig, core::LayoutKind::kStcOps}) {
     cfg::AddressMap layout =
         core::make_layout(kind, built.wcfg, c.cache_bytes, c.cfa_bytes);
-    all.merge(check_replay_modes(composed.trace, image, layout, geometry),
+    all.merge(check_plan_replay(composed.trace, image, layout, geometry),
               std::string("composed/") + core::to_string(kind));
   }
 
@@ -813,8 +814,11 @@ std::string emit_cpp(const FuzzCase& c, std::string_view test_name,
       out += "      {{";
       for (std::size_t b = 0; b < r.blocks.size(); ++b) {
         if (b > 0) out += ", ";
-        out += "{" + std::to_string(r.blocks[b].insns) + ", " +
-               kind_name(r.blocks[b].kind) + "}";
+        out.append("{")
+            .append(std::to_string(r.blocks[b].insns))
+            .append(", ")
+            .append(kind_name(r.blocks[b].kind))
+            .append("}");
       }
       out += std::string("}, ") + (r.executor_op ? "true" : "false") + "},\n";
     }

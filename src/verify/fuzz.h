@@ -90,7 +90,7 @@ enum class Injection { kNone, kShortBlock };
 Report run_case(const FuzzCase& c, Injection injection = Injection::kNone);
 
 // Replay differential check: builds the case and runs the oracle's
-// check_replay_modes over every layout kind — the replay kernels against
+// check_plan_replay over every layout kind — the replay kernels against
 // their references, the plan's feed against the reference stream, and
 // every fetch-family simulator's counter identities, including the
 // back-end pipeline (src/backend), whose machine shape (inorder/ooo, IQ/ROB
@@ -105,7 +105,7 @@ Report run_replay_diff(const FuzzCase& c);
 //   - conservation (per-tenant event totals match the streams, and the
 //     segment provenance replays each stream exactly),
 //   - a single-tenant composition is byte-identical to the input trace,
-//   - the composed trace passes check_replay_modes on the original and
+//   - the composed trace passes check_plan_replay on the original and
 //     STC-ops layouts, and
 //   - when the CFA affords at least one byte per tenant, the
 //     tenant-partitioned layout built from per-stream profiles passes the

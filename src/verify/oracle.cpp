@@ -206,7 +206,7 @@ Report check_replay(const trace::BlockTrace& trace,
   // addressed by the map. The reference stream and the plan-fed FetchPipe
   // the simulators read must reproduce them.
   trace::BlockTrace::Cursor truth(trace);
-  trace::BlockRunStream stream(trace, image, layout);
+  BlockRunStream stream(trace, image, layout);
   sim::FetchPipe pipe(plan.value());
 
   std::uint64_t event = 0;
@@ -768,29 +768,8 @@ Report check_simulators(const trace::BlockTrace& trace,
   }
   const sim::ReplayPlan& plan = built.value();
 
-  // Independent recount of line probes: consecutive instructions on one line
-  // probe once; a re-entered line probes again (the Section 7.1 semantics).
-  std::uint64_t expect_line_accesses = 0;
-  {
-    const std::uint32_t line = geometry.line_bytes;
-    std::uint64_t prev_line = ~std::uint64_t{0};
-    trace::BlockTrace::Cursor cursor(trace);
-    while (!cursor.done()) {
-      const BlockId b = cursor.next();
-      if (b >= image.num_blocks() || !layout.assigned(b)) continue;
-      const std::uint64_t addr = layout.addr(b);
-      const std::uint64_t first = addr / line;
-      const std::uint64_t last =
-          (addr + image.block(b).bytes() - 1) / line;
-      for (std::uint64_t l = first; l <= last; ++l) {
-        if (l == prev_line) continue;
-        ++expect_line_accesses;
-        prev_line = l;
-      }
-    }
-  }
-
-  // Miss-rate simulator, recounted through the observer hook.
+  // Miss-rate simulator against its reference; the observer hook recounts
+  // the cache's own bookkeeping.
   {
     sim::ICache cache(geometry);
     std::uint64_t obs_accesses = 0;
@@ -804,11 +783,16 @@ Report check_simulators(const trace::BlockTrace& trace,
     const sim::MissRateResult result = sim::replay_missrate(plan, cache);
     report.merge(check_missrate_result(result, cache.stats(), expected),
                  "missrate");
-    if (result.line_accesses != expect_line_accesses) {
-      report.fail("missrate: driver probed " + u64(result.line_accesses) +
-                  " lines, independent recount expects " +
-                  u64(expect_line_accesses));
-    }
+    // The kernel's line probes and the cache they drove, against the
+    // per-event reference on a fresh cache.
+    CounterSet want;
+    CounterSet got;
+    sim::ICache ref_cache(geometry);
+    reference_missrate(trace, image, layout, ref_cache).export_counters(want);
+    ref_cache.stats().export_counters(want);
+    result.export_counters(got);
+    cache.stats().export_counters(got);
+    report.merge(check_counters_equal(want, got, "missrate"));
     if (obs_accesses != cache.stats().accesses ||
         obs_misses != cache.stats().misses) {
       report.fail("missrate: observer saw " + u64(obs_accesses) +
@@ -971,7 +955,7 @@ Report check_plan_feed(const trace::BlockTrace& trace,
                 " events, trace records " + u64(trace.num_events()));
     return report;
   }
-  trace::BlockRunStream stream(trace, image, layout);
+  BlockRunStream stream(trace, image, layout);
   trace::BlockRun want;
   trace::BlockRun got;
   for (std::uint64_t i = 0; stream.next(want); ++i) {
@@ -1018,11 +1002,11 @@ Report check_plan_feed(const trace::BlockTrace& trace,
   return report;
 }
 
-Report check_replay_modes(const trace::BlockTrace& trace,
-                          const cfg::ProgramImage& image,
-                          const cfg::AddressMap& layout,
-                          const sim::CacheGeometry& geometry,
-                          const backend::BackendParams* backend_params) {
+Report check_plan_replay(const trace::BlockTrace& trace,
+                         const cfg::ProgramImage& image,
+                         const cfg::AddressMap& layout,
+                         const sim::CacheGeometry& geometry,
+                         const backend::BackendParams* backend_params) {
   Report report;
   const sim::FetchParams fparams;
   const sim::TraceCacheParams tc_params;

@@ -13,9 +13,10 @@
 //     address map yields the exact original dynamic instruction sequence
 //     (same blocks, same per-block instruction counts, instruction addresses
 //     consistent with the map, taken flags re-derived from first principles).
-//  3. Simulator invariants — icache probes and misses consistent with an
-//     independent recount, fetch-unit cycle identities, trace-cache fills
-//     bounded by probes, and the Figure 4 CFA occupancy rules.
+//  3. Simulator invariants — icache probes and misses equal to the
+//     per-event reference (verify/reference.h) and to the cache's observer
+//     recount, fetch-unit cycle identities, trace-cache fills bounded by
+//     probes, and the Figure 4 CFA occupancy rules.
 //
 // Unlike STC_CHECK, the oracle never aborts: violations are collected in a
 // Report so fuzzers and tests can observe, shrink, and print them.
@@ -120,8 +121,9 @@ Report check_tenant_partition(const cfg::ProgramImage& image,
                               const core::MappingProvenance& provenance);
 
 // Runs all three simulators (miss-rate, SEQ.3, trace cache) over a plan of
-// the trace and checks their counters against independent recounts and
-// each other.
+// the trace and checks their counters against each other; the miss-rate
+// counters and cache stats must equal reference_missrate's on a fresh cache,
+// and the cache's observer hook must see every probe its stats record.
 Report check_simulators(const trace::BlockTrace& trace,
                         const cfg::ProgramImage& image,
                         const cfg::AddressMap& layout,
@@ -182,10 +184,10 @@ backend::BackendParams replay_diff_backend();
 // both front ends, the back-end pipeline) read nothing of a plan but
 // make_run(), through FetchPipe's cursor, and, for the back end, the
 // block's address, size and op tables at the block id each run carries.
-// So a plan whose make_run(i) equals the i-th BlockRun of a
-// trace::BlockRunStream over (trace, image, layout), field by field (the
-// block id included) and with equal event counts, drives them exactly as
-// the per-event walk would. When `backend` is
+// So a plan whose make_run(i) equals the i-th BlockRun of a BlockRunStream
+// (reference.h) over (trace, image, layout), field by field (the block id
+// included) and with equal event counts, drives them exactly as the
+// per-event walk would. When `backend` is
 // enabled the plan must carry back-end tables, and every block id in the
 // slab must have the latency and registers that backend_op_latency /
 // backend_op_regs give for its image size and kind and its layout address
@@ -208,12 +210,12 @@ Report check_plan_feed(const trace::BlockTrace& trace,
 //      check_frontend_result and check_backend_result.
 // `backend_params` overrides the back-end configuration
 // (replay_diff_backend() when null).
-Report check_replay_modes(const trace::BlockTrace& trace,
-                          const cfg::ProgramImage& image,
-                          const cfg::AddressMap& layout,
-                          const sim::CacheGeometry& geometry,
-                          const backend::BackendParams* backend_params =
-                              nullptr);
+Report check_plan_replay(const trace::BlockTrace& trace,
+                         const cfg::ProgramImage& image,
+                         const cfg::AddressMap& layout,
+                         const sim::CacheGeometry& geometry,
+                         const backend::BackendParams* backend_params =
+                             nullptr);
 
 // ---- Umbrella ------------------------------------------------------------
 

@@ -2,6 +2,38 @@
 
 namespace stc::verify {
 
+BlockRunStream::BlockRunStream(const trace::BlockTrace& trace,
+                               const cfg::ProgramImage& image,
+                               const cfg::AddressMap& layout)
+    : image_(image), layout_(layout), cursor_(trace) {
+  if (!cursor_.done()) {
+    pending_ = cursor_.next();
+    have_pending_ = true;
+  }
+}
+
+bool BlockRunStream::next(trace::BlockRun& out) {
+  if (!have_pending_) return false;
+  const cfg::BlockInfo& info = image_.block(pending_);
+  out.block = pending_;
+  out.addr = layout_.addr(pending_);
+  out.insns = info.insns;
+  out.ends_in_branch = cfg::ends_in_branch(info.kind);
+  out.kind = info.kind;
+  if (cursor_.done()) {
+    have_pending_ = false;
+    out.has_next = false;
+    out.taken = false;
+    out.next_addr = 0;
+    return true;
+  }
+  pending_ = cursor_.next();
+  out.has_next = true;
+  out.next_addr = layout_.addr(pending_);
+  out.taken = out.next_addr != out.end_addr();
+  return true;
+}
+
 sim::MissRateResult reference_missrate(
     const trace::BlockTrace& trace, const cfg::ProgramImage& image,
     const cfg::AddressMap& layout, sim::ICache& cache,
@@ -11,13 +43,10 @@ sim::MissRateResult reference_missrate(
     per_block_misses->assign(image.num_blocks(), 0);
   }
   const std::uint32_t line = cache.geometry().line_bytes;
-  trace::BlockRunStream stream(trace, image, layout);
-  // Track the block id alongside the run for attribution.
-  trace::BlockTrace::Cursor ids(trace);
+  BlockRunStream stream(trace, image, layout);
   trace::BlockRun run;
   std::uint64_t prev_line = ~std::uint64_t{0};
   while (stream.next(run)) {
-    const cfg::BlockId block = ids.next();
     result.instructions += run.insns;
     const std::uint64_t first = run.addr / line;
     const std::uint64_t last = (run.end_addr() - 1) / line;
@@ -28,7 +57,7 @@ sim::MissRateResult reference_missrate(
       ++result.line_accesses;
       if (!cache.access(l * line)) {
         ++result.misses;
-        if (per_block_misses != nullptr) ++(*per_block_misses)[block];
+        if (per_block_misses != nullptr) ++(*per_block_misses)[run.block];
       }
       prev_line = l;
     }
@@ -40,7 +69,7 @@ trace::SequentialityStats reference_sequentiality(
     const trace::BlockTrace& trace, const cfg::ProgramImage& image,
     const cfg::AddressMap& layout) {
   trace::SequentialityStats stats;
-  trace::BlockRunStream stream(trace, image, layout);
+  BlockRunStream stream(trace, image, layout);
   trace::BlockRun run;
   while (stream.next(run)) {
     stats.instructions += run.insns;

@@ -17,7 +17,7 @@ struct Fixture {
     cfg::ProgramBuilder b;
     const cfg::ModuleId m = b.module("mod");
     for (int i = 0; i < 16; ++i) {
-      b.routine("r" + std::to_string(i), m,
+      b.routine(std::string("r").append(std::to_string(i)), m,
                 {{"b", 16, BlockKind::kReturn}});
     }
     image = b.build();

@@ -131,7 +131,7 @@ std::unique_ptr<cfg::ProgramImage> grid_image() {
   cfg::ProgramBuilder b;
   const cfg::ModuleId m = b.module("mod");
   for (int i = 0; i < 8; ++i) {
-    b.routine("r" + std::to_string(i), m,
+    b.routine(std::string("r").append(std::to_string(i)), m,
               {{"b", 16, cfg::BlockKind::kReturn}});
   }
   return b.build();

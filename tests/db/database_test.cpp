@@ -28,7 +28,8 @@ TEST(DatabaseTest, InsertMaintainsAllIndexes) {
   db.create_index("people", "id", IndexKind::kBTree, true);
   db.create_index("people", "age", IndexKind::kHash, false);
   for (std::int64_t i = 0; i < 100; ++i) {
-    db.insert(t, {Value(i), Value("p" + std::to_string(i)), Value(i % 10)});
+    db.insert(t, {Value(i), Value(std::string("p").append(std::to_string(i))),
+                  Value(i % 10)});
   }
   ASSERT_EQ(t.indexes.size(), 2u);
   EXPECT_EQ(t.indexes[0].index->entry_count(), 100u);
@@ -57,7 +58,8 @@ TEST(DatabaseTest, RunQueryEndToEnd) {
   Database db(32);
   TableInfo& t = db.create_table("people", people_schema());
   for (std::int64_t i = 0; i < 30; ++i) {
-    db.insert(t, {Value(i), Value("p" + std::to_string(i)), Value(20 + i % 5)});
+    db.insert(t, {Value(i), Value(std::string("p").append(std::to_string(i))),
+                  Value(20 + i % 5)});
   }
   const QueryResult result = db.run_query(
       "SELECT age, COUNT(*) AS n FROM people GROUP BY age ORDER BY age");

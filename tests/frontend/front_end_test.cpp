@@ -216,7 +216,7 @@ std::unique_ptr<cfg::ProgramImage> call_chain_image(int depth) {
   cfg::ProgramBuilder builder;
   const cfg::ModuleId mod = builder.module("m");
   for (int d = 0; d < depth; ++d) {
-    builder.routine("f" + std::to_string(d), mod,
+    builder.routine(std::string("f").append(std::to_string(d)), mod,
                     {{"body", 2, cfg::BlockKind::kCall},
                      {"tail", 1, cfg::BlockKind::kReturn}});
   }

@@ -78,7 +78,7 @@ TEST(FetchPipeTest, PeeksAcrossManyOneInstructionBlocks) {
   constexpr std::uint32_t kBlocks = 40;
   std::vector<cfg::BlockDef> defs;
   for (std::uint32_t i = 0; i < kBlocks; ++i) {
-    defs.push_back({"b" + std::to_string(i), 1,
+    defs.push_back({std::string("b").append(std::to_string(i)), 1,
                     i + 1 == kBlocks ? BlockKind::kReturn
                                      : BlockKind::kFallThrough});
   }

@@ -3,7 +3,7 @@
 // sequentiality kernels' counters, and the BlockRuns and back-end op values
 // the fetch family reads — on every synthetic program family, every
 // degenerate family and every layout kind. The parameterized suites drive
-// the oracle's check_replay_modes and check_plan_feed; the direct tests
+// the oracle's check_plan_replay and check_plan_feed; the direct tests
 // assert a few headline counters explicitly and show that check_plan_feed
 // rejects a stale plan; the corpus tests replay the fuzz regression shapes
 // through run_replay_diff.
@@ -68,7 +68,7 @@ TEST_P(ReplayModesTest, AllSimulatorsIdenticalAcrossModesAndLayouts) {
     const cfg::AddressMap layout =
         core::make_layout(kind, wcfg, p.cache_bytes, p.cache_bytes / 4);
     const verify::Report report =
-        verify::check_replay_modes(trace, *image, layout, geometry);
+        verify::check_plan_replay(trace, *image, layout, geometry);
     EXPECT_TRUE(report.ok())
         << core::to_string(kind) << ": " << report.summary();
   }
@@ -182,8 +182,8 @@ TEST(ReplayModesDirect, FeedCheckCatchesAPlanForAnotherLayout) {
   const ReplayPlan plan_a = testing::make_plan(trace, *image, a);
 
   // The first event at which the two layouts give a different BlockRun.
-  trace::BlockRunStream stream_a(trace, *image, a);
-  trace::BlockRunStream stream_b(trace, *image, b);
+  verify::BlockRunStream stream_a(trace, *image, a);
+  verify::BlockRunStream stream_b(trace, *image, b);
   trace::BlockRun run_a;
   trace::BlockRun run_b;
   std::uint64_t first = 0;

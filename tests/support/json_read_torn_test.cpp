@@ -60,8 +60,8 @@ TEST(JsonReadTornTest, SplitUtf8SequencesStopCleanly) {
   // Multi-byte UTF-8 cut mid-sequence before the closing quote — the string
   // never terminates, so the parse must fail without reading past the end.
   const std::string euro = "\xE2\x82\xAC";  // €
-  EXPECT_TRUE(parse_fails("\"" + euro.substr(0, 1)));
-  EXPECT_TRUE(parse_fails("\"" + euro.substr(0, 2)));
+  EXPECT_TRUE(parse_fails(std::string("\"").append(euro.substr(0, 1))));
+  EXPECT_TRUE(parse_fails(std::string("\"").append(euro.substr(0, 2))));
   EXPECT_TRUE(parse_fails("{\"k" + euro.substr(0, 2)));
   // The same bytes with their quote intact parse fine: the reader passes
   // unrecognized high bytes through rather than validating encodings.

@@ -30,12 +30,12 @@ inline std::unique_ptr<cfg::ProgramImage> random_image(Rng& rng,
                : pick < 8 ? cfg::BlockKind::kBranch
                           : cfg::BlockKind::kCall;
       }
-      blocks.push_back({"b" + std::to_string(b),
+      blocks.push_back({std::string("b").append(std::to_string(b)),
                         static_cast<std::uint16_t>(1 + rng.uniform(12)),
                         kind});
     }
-    builder.routine("r" + std::to_string(r), mod, std::move(blocks),
-                    /*executor_op=*/rng.chance(0.1));
+    builder.routine(std::string("r").append(std::to_string(r)), mod,
+                    std::move(blocks), /*executor_op=*/rng.chance(0.1));
   }
   return builder.build();
 }
@@ -124,7 +124,7 @@ inline std::unique_ptr<cfg::ProgramImage> degenerate_image(Rng& rng,
     case 2: {  // many routines of exactly one block each
       const int n = 2 + static_cast<int>(rng.uniform(30));
       for (int r = 0; r < n; ++r) {
-        builder.routine("r" + std::to_string(r), mod,
+        builder.routine(std::string("r").append(std::to_string(r)), mod,
                         {{"b0", static_cast<std::uint16_t>(1 + rng.uniform(4)),
                           cfg::BlockKind::kReturn}});
       }
@@ -138,7 +138,8 @@ inline std::unique_ptr<cfg::ProgramImage> degenerate_image(Rng& rng,
                           static_cast<std::uint16_t>(64 + rng.uniform(192)),
                           cfg::BlockKind::kBranch});
         blocks.push_back({"ret", 1, cfg::BlockKind::kReturn});
-        builder.routine("r" + std::to_string(r), mod, std::move(blocks));
+        builder.routine(std::string("r").append(std::to_string(r)), mod,
+                        std::move(blocks));
       }
       break;
     }
@@ -150,7 +151,8 @@ inline std::unique_ptr<cfg::ProgramImage> degenerate_image(Rng& rng,
                           cfg::BlockKind::kFallThrough});
         blocks.push_back({"b1", static_cast<std::uint16_t>(1 + rng.uniform(8)),
                           cfg::BlockKind::kBranch});
-        builder.routine("r" + std::to_string(r), mod, std::move(blocks));
+        builder.routine(std::string("r").append(std::to_string(r)), mod,
+                        std::move(blocks));
       }
       break;
     }

@@ -42,7 +42,9 @@ TEST(ReportTest, StartsCleanAndAccumulates) {
 
 TEST(ReportTest, CapsStoredErrorsButCountsAll) {
   Report r;
-  for (int i = 0; i < 100; ++i) r.fail("e" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    r.fail(std::string("e").append(std::to_string(i)));
+  }
   EXPECT_EQ(r.total_found(), 100u);
   EXPECT_LT(r.errors().size(), 100u);
   // The summary still reports the true total.

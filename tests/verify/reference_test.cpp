@@ -1,4 +1,6 @@
-#include "trace/fetch_stream.h"
+// The oracle's per-event references: the BlockRunStream feed a replay plan
+// must reproduce, and reference_sequentiality over it.
+#include "verify/reference.h"
 
 #include <gtest/gtest.h>
 
@@ -7,12 +9,14 @@
 #include "cfg/builder.h"
 #include "sim/replay.h"
 #include "testing/plan.h"
-#include "verify/reference.h"
 
-namespace stc::trace {
+namespace stc::verify {
 namespace {
 
 using cfg::BlockKind;
+using trace::BlockRun;
+using trace::BlockTrace;
+using trace::SequentialityStats;
 
 struct Fixture {
   Fixture() {
@@ -119,7 +123,7 @@ TEST(SequentialityTest, CountsInstructionsAndTakenBranches) {
   t.append(f.B);
   const auto layout = cfg::AddressMap::original(*f.image);
   const SequentialityStats stats =
-      verify::reference_sequentiality(t, *f.image, layout);
+      reference_sequentiality(t, *f.image, layout);
   EXPECT_EQ(stats.instructions, 12u);
   EXPECT_EQ(stats.dynamic_blocks, 4u);
   EXPECT_EQ(stats.taken_transitions, 1u);  // only B -> A
@@ -133,7 +137,7 @@ TEST(SequentialityTest, NoTakenBranchesMeansFullLength) {
   t.append(f.B);
   const auto layout = cfg::AddressMap::original(*f.image);
   const SequentialityStats stats =
-      verify::reference_sequentiality(t, *f.image, layout);
+      reference_sequentiality(t, *f.image, layout);
   EXPECT_EQ(stats.taken_transitions, 0u);
   EXPECT_DOUBLE_EQ(stats.insns_between_taken_branches(), 6.0);
 }
@@ -150,11 +154,11 @@ TEST(SequentialityTest, LayoutImprovesMetric) {
   packed.set(f.A, 0);
   packed.set(f.C, 16);
   packed.set(f.B, 64);
-  const auto before = verify::reference_sequentiality(t, *f.image, orig);
-  const auto after = verify::reference_sequentiality(t, *f.image, packed);
+  const auto before = reference_sequentiality(t, *f.image, orig);
+  const auto after = reference_sequentiality(t, *f.image, packed);
   EXPECT_GT(after.insns_between_taken_branches(),
             before.insns_between_taken_branches());
 }
 
 }  // namespace
-}  // namespace stc::trace
+}  // namespace stc::verify

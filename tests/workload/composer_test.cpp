@@ -35,7 +35,8 @@ std::vector<TenantStream> ramp_streams(
     const std::vector<std::uint64_t>& sizes) {
   std::vector<TenantStream> streams;
   for (std::uint32_t t = 0; t < sizes.size(); ++t) {
-    streams.push_back({"t" + std::to_string(t), ramp_trace(t, sizes[t])});
+    streams.push_back(
+        {std::string("t").append(std::to_string(t)), ramp_trace(t, sizes[t])});
   }
   return streams;
 }

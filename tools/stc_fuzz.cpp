@@ -14,7 +14,7 @@
 // exits 0.
 //
 // --replay-diff swaps the oracle for the replay differential check
-// (verify::check_replay_modes): over every layout kind, each generated
+// (verify::check_plan_replay): over every layout kind, each generated
 // case's plan (sim/replay.h) must match the oracle's references kernel for
 // kernel and feed for feed, and every simulator must hold its counter
 // identities; any divergence is shrunk to a paste-ready regression snippet.
